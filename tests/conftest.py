@@ -6,6 +6,8 @@ and integration tests run in microseconds while exercising the same
 code paths as the full configurations.
 """
 
+import random
+
 import pytest
 
 from repro.common.params import CacheGeometry, FaultTiming
@@ -65,6 +67,46 @@ def simple_space(page_bytes=TINY_PAGE, code_pages=4, heap_pages=32,
     }
     space_map.seal()
     return space_map, regions
+
+
+def fault_heavy_trace(regions, count, seed=0, slide_refs=100,
+                      window_pages=12, page_bytes=TINY_PAGE):
+    """A first-touch-heavy ``(kind, vaddr)`` stream.
+
+    A heap working set of ``window_pages`` pages slides one page every
+    ``slide_refs`` references and wraps around the heap, so every
+    slide first-touches a page and, once memory is smaller than the
+    heap, every wrap re-faults evicted pages back in.  Code fetches,
+    data reads, stack writes and file reads ride along.  Draws use
+    ``random.random`` only, whose sequence is stable across Python
+    versions.
+    """
+    rng = random.Random(seed)
+    heap = regions["heap"]
+    heap_pages = heap.size // page_bytes
+    code, data = regions["code"], regions["data"]
+    stack, file_ = regions["stack"], regions["file"]
+
+    def word(region_start, span):
+        return region_start + (int(rng.random() * span) & ~3)
+
+    refs = []
+    for i in range(count):
+        base = (i // slide_refs) % heap_pages
+        draw = rng.random()
+        if draw < 0.3:
+            refs.append((0, word(code.start, code.size)))
+        elif draw < 0.85:
+            page = (base + int(rng.random() * window_pages)) % heap_pages
+            vaddr = word(heap.start + page * page_bytes, page_bytes)
+            refs.append((2 if draw < 0.55 else 1, vaddr))
+        elif draw < 0.9:
+            refs.append((1, word(data.start, data.size)))
+        elif draw < 0.95:
+            refs.append((2, word(stack.start, stack.size)))
+        else:
+            refs.append((1, word(file_.start, file_.size)))
+    return refs
 
 
 def make_machine(space_map=None, **overrides):
