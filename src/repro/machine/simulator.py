@@ -237,10 +237,6 @@ class SpurMachine:
         self._second_check_cycles = (
             self.translator.timing.second_level_check_cycles
         )
-        #: Static policy traits (the policy objects are stateless and
-        #: never swapped after construction).
-        self._maintains_bits = self.reference_policy.maintains_bits
-        self._dirty_tracks_pte = self.dirty_policy.cached_dirty_tracks_pte
         #: Whether the vectorized segment classifier is usable; tests
         #: force the per-reference fallback by clearing this.
         self._use_numpy = (
@@ -655,39 +651,49 @@ class SpurMachine:
     def _resolve_miss(self, kind, vaddr, tally):
         """Batched-path twin of :meth:`_miss` with deferred counters.
 
-        Commits only when the miss is provably free of structural
-        events: PTE present and valid, reference bit settled, and (for
-        writes) page record present, region writable, and the dirty
-        policy's write-miss hook a no-op
-        (:meth:`~repro.policies.dirty.DirtyBitPolicy.
-        write_miss_settled`).  Everything else — page faults,
-        reference faults, dirty-bit work, protection faults,
-        first-touch PTE/page creation — delegates to the legacy
-        :meth:`_miss` *before* any state or tally is touched, so those
-        paths stay bit-identical, exceptions included.
+        Commits every miss that cannot raise: page faults (first
+        touches included), reference-bit faults and write misses
+        needing dirty-bit work run here, with the VM and policy hooks
+        called live in :meth:`_miss`'s order — page fault, reference
+        check, dirty-bit work, then the install with
+        :meth:`~repro.policies.dirty.DirtyBitPolicy.fill_page_dirty` —
+        so a daemon run or a FLUSH page flush mutates the columns
+        before the data block lands, exactly as on the legacy path.
+        Only the two :class:`~repro.common.errors.ProtectionFault`
+        cases (an unmapped address, a write to a read-only region)
+        delegate to :meth:`_miss`, and they are detected *before* any
+        state or tally slot is touched, so the derived counters and
+        the counter state at the raise stay exact.
+        :meth:`_miss`, :meth:`~repro.translation.incache.
+        InCacheTranslator.translate` and :meth:`~repro.cache.cache.
+        VirtualCache.fill` otherwise serve only the spec :meth:`run`.
 
-        The commit path replays the in-cache PTE walk of
-        :class:`~repro.translation.incache.InCacheTranslator` as plain
-        arithmetic against the ``line_block`` column; PTE blocks are
-        installed through :meth:`~repro.cache.cache.VirtualCache.
-        fill_fast` and the data block's install is the same column
-        sequence inlined (this method is a sanctioned tag-array
-        writer), recording every counter/stats/bus increment in
-        ``tally`` slots.  Returns cycles.
+        The in-cache PTE walk of
+        :class:`~repro.translation.incache.InCacheTranslator` is
+        replayed as plain arithmetic against the ``line_block``
+        column; PTE blocks are installed through :meth:`~repro.cache.
+        cache.VirtualCache.fill_fast` and the data block's install is
+        the same column sequence inlined (this method is a sanctioned
+        tag-array writer), recording every counter/stats/bus increment
+        in ``tally`` slots.  Returns cycles.
         """
         vpn = vaddr >> self.page_bits
         pte = self._pte_peek(vpn)
-        if pte is None or not pte.valid:
-            return self._miss(kind, vaddr)
-        if not pte.referenced and self._maintains_bits:
-            return self._miss(kind, vaddr)
         is_write = kind == 2
-        if is_write:
+        faults = pte is None or not pte.valid
+        if faults or is_write:
+            # The legacy path looks the page record up (and raises on
+            # an unmapped address) when it faults or writes.
             page = self._page_peek(vpn)
-            if page is None or not page.region.writable:
+            if page is None:
+                vm = self.vm
+                region = vm.space_map.region_of(vpn * vm.page_bytes)
+            else:
+                region = page.region
+            if region is None or (is_write and not region.writable):
                 return self._miss(kind, vaddr)
-            if not self.dirty_policy.write_miss_settled(pte):
-                return self._miss(kind, vaddr)
+            if pte is None:
+                pte = self.page_table.entry(vpn)
 
         cache = self.cache
         line_block = cache.line_block
@@ -723,11 +729,20 @@ class SpurMachine:
             cycles += fill_fast(
                 pte_vaddr, _PROT_KERNEL, True, False, True, tally
             )
+        if faults:
+            cycles += self.vm.handle_page_fault(vpn)
+        if not pte.referenced:
+            # Every reference policy's miss hook is a no-op on a set
+            # bit.
+            cycles += self.reference_policy.on_cache_miss(self, pte)
+        if is_write:
+            if page is None:
+                page = self.vm.page(vpn)
+            cycles += self.dirty_policy.on_write_miss(self, pte, page)
         # Data-block install: fill_fast's exact column sequence,
         # inlined to reuse this frame's locals on the per-miss hot
-        # path.  fill_page_dirty is pte.is_modified() exactly when the
-        # policy declares cached_dirty_tracks_pte (the WRITE policy is
-        # the one unconditional-True exception).
+        # path.  The hooks above may have flushed or evicted lines, so
+        # the target line is read only now.
         block = vaddr >> block_bits
         index = block & index_mask
         transfer = cache.block_transfer_cycles
@@ -747,9 +762,7 @@ class SpurMachine:
         cache.line_vaddr[index] = vaddr & cache.block_offset_mask
         line_block[index] = block
         cache.prot[index] = pte.protection
-        cache.page_dirty[index] = (
-            pte.is_modified() if self._dirty_tracks_pte else True
-        )
+        cache.page_dirty[index] = self.dirty_policy.fill_page_dirty(pte)
         cache.block_dirty[index] = is_write
         cache.filled_by_read[index] = not is_write
         cache.holds_pte[index] = 0
@@ -900,7 +913,12 @@ class SpurMachine:
         return cycles
 
     def _miss(self, kind, vaddr):
-        """Reference missed in the cache: translate, maybe fault, fill."""
+        """Reference missed in the cache: translate, maybe fault, fill.
+
+        The spec :meth:`run` loop's miss handler.  The batched path
+        reaches it only for the two misses that raise
+        :class:`ProtectionFault` (see :meth:`_resolve_miss`).
+        """
         counters = self.counters
         if kind == 0:
             counters.increment(Event.IFETCH_MISS)

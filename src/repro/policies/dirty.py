@@ -59,17 +59,6 @@ class DirtyBitPolicy:
             return 0
         return self._necessary_fault(machine, pte)
 
-    def write_miss_settled(self, pte):
-        """True iff :meth:`on_write_miss` would be a zero-cycle no-op.
-
-        The chunked hot loop's batched resolver uses this to keep
-        settled write misses off the slow path; a policy that changes
-        :meth:`on_write_miss`'s no-op condition must override this
-        predicate to match (the chunked-equivalence grid enforces the
-        pairing).
-        """
-        return pte.is_modified()
-
     def write_hit_settled(self, cache, index):
         """True iff :meth:`handle_write_hit` would be a zero-cycle,
         zero-mutation no-op for this cached line.
@@ -232,11 +221,6 @@ class SpurDirtyPolicy(DirtyBitPolicy):
             return 0
         cycles = self._necessary_fault(machine, pte)
         return cycles + machine.fault_timing.dirty_bit_miss
-
-    def write_miss_settled(self, pte):
-        # SPUR keys the miss-time check on the hardware bit alone: a
-        # software-dirty page still pays the dirty-bit-miss refresh.
-        return pte.dirty
 
     def write_hit_settled(self, cache, index):
         # A set cached copy is exactly the hardware's "no work" case.

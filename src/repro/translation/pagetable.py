@@ -111,8 +111,8 @@ class PageTable:
         self._entries = {}
         #: Bound ``dict.get``: the PTE for a vpn or ``None``, with no
         #: entry creation and no call overhead beyond the dict lookup.
-        #: The batched miss resolver probes this before committing to
-        #: its fast path (``None`` → the legacy path owns creation).
+        #: The batched resolvers probe this so that entry creation
+        #: happens only where the spec path would create the entry.
         self.peek = self._entries.get
 
     def __len__(self):
