@@ -55,15 +55,9 @@ class VirtualCache:
         transfers.
     name:
         Identifier used by the bus and in diagnostics.
-    columns:
-        Optional pre-built :class:`~repro.cache.columns.ColumnStore`
-        to adopt instead of allocating one — the fleet layer hands
-        each member cache a store slicing its stacked 2-D buffers.
-        Must match the geometry's line count and arrive in power-on
-        state (all lines invalid).
     """
 
-    def __init__(self, geometry, timing, name="cache0", columns=None):
+    def __init__(self, geometry, timing, name="cache0"):
         if geometry.associativity != 1:
             raise ConfigurationError(
                 f"associativity {geometry.associativity} is plumbed "
@@ -93,14 +87,7 @@ class VirtualCache:
         # The aliases below share the store's buffers; every element
         # write through either name lands in the same memory the
         # batched resolver's numpy views observe.
-        if columns is None:
-            columns = ColumnStore(num_lines)
-        elif columns.num_lines != num_lines:
-            raise ConfigurationError(
-                f"column store has {columns.num_lines} lines, "
-                f"geometry needs {num_lines}"
-            )
-        self.columns = columns
+        self.columns = ColumnStore(num_lines)
         self.valid = self.columns.valid
         self.tags = self.columns.tags
         self.line_vaddr = self.columns.line_vaddr  # block-aligned fill address

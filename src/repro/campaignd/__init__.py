@@ -1,7 +1,7 @@
 """The campaign service: resumable, distributed, streaming campaigns.
 
-``repro.campaignd`` promotes one-shot campaign execution
-(:func:`repro.parallel.execute_cells`) into a long-running service
+``repro.campaignd`` is the one multi-cell execution pipeline (the
+one-shot :func:`repro.parallel.execute_cells` is a thin call to it),
 built from four separable pieces:
 
 * a reversible **cell spec codec** (:mod:`~repro.campaignd.cells`) —
@@ -13,9 +13,9 @@ built from four separable pieces:
 * a resumable **work queue** (:mod:`~repro.campaignd.queue`) keyed by
   the same content-addressed hashes the cache uses — restarting a
   half-done campaign recomputes nothing;
-* interchangeable **drivers** (:mod:`~repro.campaignd.drivers`) — the
-  in-process pool/fleet paths, or ``repro worker`` subprocesses
-  sharing only a cache directory — under one
+* interchangeable **drivers** (:mod:`~repro.campaignd.drivers`) —
+  in-process or a local process pool, or ``repro worker``
+  subprocesses sharing only a cache directory — under one
   :class:`~repro.campaignd.service.CampaignService` that owns retry,
   backoff, timeout, journaling, and telemetry.
 

@@ -16,10 +16,10 @@ and telemetry semantics identical.
 Two backends ship:
 
 :class:`LocalDriver`
-    Today's in-process / process-pool / lockstep-fleet paths, via
-    :func:`repro.parallel.run_pending`.  Cannot enforce per-cell
-    timeouts (a stuck pool worker cannot be killed without killing
-    the pool), and says so through ``supports_timeout``.
+    Simulates in this process (``workers=1``) or over a local
+    process pool.  Cannot enforce per-cell timeouts (a stuck pool
+    worker cannot be killed without killing the pool), and says so
+    through ``supports_timeout``.
 :class:`SubprocessDriver`
     Round-robin shards pending cells over ``repro worker``
     subprocesses that coordinate only through a shared cache
@@ -41,12 +41,14 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.campaignd.cells import cell_to_spec
+from repro.observe.sinks import stamp
 from repro.parallel.cache import result_from_payload
-from repro.parallel.executor import run_pending
+from repro.parallel.executor import simulate_cell
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,16 @@ class RetryPolicy:
 
 
 class LocalDriver:
-    """Run pending cells in this process (serial, pool, or fleet).
+    """Run pending cells in this process, serially or over a pool.
 
-    The campaign service's default backend: a thin adapter over
-    :func:`repro.parallel.run_pending`, so service campaigns inherit
-    the exact execution semantics — and bit-identical results — of
-    :func:`~repro.parallel.execute_cells`.
+    The campaign service's default backend and the engine behind
+    :func:`~repro.parallel.execute_cells`.  ``workers=1`` (or a single
+    pending cell) simulates in-process with no pool; otherwise a
+    :class:`~concurrent.futures.ProcessPoolExecutor` of at most
+    ``workers`` processes runs :func:`~repro.parallel.executor.
+    simulate_cell` per cell.  Results are bit-identical either way.
+    ``sink`` receives the ``worker_pool_started``/``_finished``
+    events around a pool.
     """
 
     #: A stuck pool worker cannot be killed individually, so the
@@ -87,21 +93,59 @@ class LocalDriver:
     #: them into the cache itself.
     stores_results = False
 
-    def __init__(self, workers=1, fleet=False, sink=None):
+    def __init__(self, workers=1, sink=None):
         self.workers = workers
-        self.fleet = fleet
         self.sink = sink
 
     def describe(self):
         """One-line rendering for status output and logs."""
-        if self.fleet:
-            return "local(fleet)"
         return f"local(workers={self.workers})"
 
     def run(self, cells, pending, record):
-        """Simulate *pending* and feed every outcome to ``record``."""
-        run_pending(cells, pending, record, workers=self.workers,
-                    fleet=self.fleet, sink=self.sink)
+        """Simulate *pending* and feed every outcome to ``record``.
+
+        ``record`` is always called from this process (pool workers
+        return values; they never call back), so the service may
+        journal, cache, and emit from it without locking.
+        """
+        if self.workers <= 1 or len(pending) <= 1:
+            for index in pending:
+                try:
+                    outcome = simulate_cell(cells[index])
+                except Exception as error:
+                    outcome = error
+                record(index, outcome)
+            return
+        sink = self.sink
+        pool_size = min(self.workers, len(pending))
+        if sink is not None:
+            sink.emit(stamp({
+                "type": "worker_pool_started",
+                "workers": pool_size,
+                "cells": len(pending),
+            }))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures = {
+                pool.submit(simulate_cell, cells[index]): index
+                for index in pending
+            }
+            remaining = set(futures)
+            while remaining:
+                done, remaining = wait(
+                    remaining, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    error = future.exception()
+                    record(
+                        futures[future],
+                        error if error is not None
+                        else future.result(),
+                    )
+        if sink is not None:
+            sink.emit(stamp({
+                "type": "worker_pool_finished",
+                "workers": pool_size,
+            }))
 
 
 class _Shard:

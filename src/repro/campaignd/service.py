@@ -1,7 +1,9 @@
 """The campaign service: queue + journal + driver + telemetry, in one.
 
-:class:`CampaignService` is the long-running promotion of
-:func:`~repro.parallel.execute_cells`.  Its run loop:
+:class:`CampaignService` is the one multi-cell execution pipeline:
+:func:`~repro.parallel.execute_cells` is a thin call to it, and every
+:meth:`~repro.machine.runner.ExperimentRunner.run_many` call that uses
+a campaign feature runs through it.  Its run loop:
 
 1. resolve the :class:`~repro.campaignd.queue.WorkQueue` — every cell
    whose content-addressed key is already in the cache or the journal
@@ -17,13 +19,13 @@
    attempts run out;
 5. raise :class:`~repro.parallel.executor.CampaignError` carrying the
    partial results if any cell failed permanently, else return the
-   full result list — bit-identical to a one-shot
-   ``execute_cells`` run of the same grid, whatever the driver.
+   full result list — bit-identical to a plain serial loop over the
+   same cells, whatever the driver.
 
 The service is the only writer of the journal and the only caller of
 ``record``-side effects; drivers just produce outcomes.  That single
 ownership is what keeps resume semantics identical across local
-pools, lockstep fleets, and worker subprocesses.
+pools and worker subprocesses.
 """
 
 import time
@@ -46,8 +48,8 @@ class CampaignService:
         Iterable of :class:`~repro.parallel.executor.RunCell`.
     journal:
         Path or :class:`~repro.campaignd.journal.CampaignJournal`;
-        ``None`` disables durability (the service degrades to a
-        retrying ``execute_cells``).
+        ``None`` disables durability (nothing survives a crash, and
+        nothing is resumed).
     cache:
         Optional :class:`~repro.parallel.cache.ResultCache` shared
         with other campaigns and hosts.
@@ -58,8 +60,12 @@ class CampaignService:
         :class:`~repro.campaignd.drivers.RetryPolicy`; a timeout in
         the policy requires a driver with ``supports_timeout`` and is
         rejected loudly otherwise.
-    sink / progress:
-        Same contracts as :func:`~repro.parallel.execute_cells`.
+    sink:
+        Optional trace sink (``emit(dict)``); receives campaign and
+        cell lifecycle events plus each completed run's records.
+    progress:
+        ``True`` for a stderr progress line, or a
+        :class:`~repro.observe.progress.CampaignProgress` instance.
     """
 
     def __init__(self, cells, journal=None, cache=None, driver=None,

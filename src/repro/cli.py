@@ -51,7 +51,6 @@ def _options_from_args(args):
         sink = JsonlSink(trace_out)
     return RunOptions(
         workers=getattr(args, "workers", 1),
-        fleet=getattr(args, "fleet", False),
         chunk_refs=getattr(args, "chunk_refs", DEFAULT_CHUNK_REFS) or 0,
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
@@ -572,12 +571,6 @@ def build_parser():
                             "(config, workload, seed) cells simulate")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir for this invocation")
-        p.add_argument("--fleet", action="store_true",
-                       help="step the campaign's machines in lockstep "
-                            "inside this process (one vectorized pass "
-                            "over all cells) instead of fanning out "
-                            "worker processes; results are "
-                            "bit-identical either way")
 
     def campaignd_opts(p):
         p.add_argument("--journal", metavar="PATH",

@@ -9,9 +9,9 @@ R005
     Determinism audit.  Any nondeterministic effect (set iteration,
     unseeded ``random``, wall-clock or environment reads) in code
     reachable from the hot-loop roots breaks the bit-equivalence that
-    the parallel campaign cache and the planned lockstep fleet rest
-    on.  Unresolvable calls are *not* findings here: an audit that
-    cried wolf on every untypable receiver would be ignored.
+    the result cache and every campaign driver rest on.  Unresolvable
+    calls are *not* findings here: an audit that cried wolf on every
+    untypable receiver would be ignored.
 
 R006
     Cache-key soundness.  A field of ``MachineConfig``/``RunOptions``/

@@ -8,10 +8,11 @@ way Section 4.2's five-repetition design was.
 
 Because every run is a pure function of (config, workload recipe,
 seed, reference cap), the multi-run entry points accept ``workers=N``
-to fan independent cells out over worker processes via
-:mod:`repro.parallel` — results are bit-identical to the serial path,
-only faster — and a :class:`~repro.parallel.cache.ResultCache` to
-skip cells whose inputs were already simulated.
+to fan independent cells out over worker processes via the campaign
+service (:mod:`repro.campaignd`) — results are bit-identical to the
+serial path, only faster — and a
+:class:`~repro.parallel.cache.ResultCache` to skip cells whose inputs
+were already simulated.
 """
 
 import hashlib
@@ -262,10 +263,19 @@ class ExperimentRunner:
         """Run ``(config, workload, seed, max_references)`` specs.
 
         The building block the multi-run entry points (and
-        :class:`~repro.analysis.sweeps.SweepDriver`) share: resolves
-        each spec against the runner's cache, simulates misses over
-        worker processes, and returns results in spec order.  Serial,
-        uncached, untraced calls are exactly a loop over :meth:`run`.
+        :class:`~repro.analysis.sweeps.SweepDriver`) share; returns
+        results in spec order.  It has two routes:
+
+        * without campaign features (one worker, no cache, sink,
+          progress, journal, driver or retries) it is exactly a loop
+          over :meth:`run`, and a failing spec raises its exception
+          unwrapped;
+        * every other call goes through the
+          :class:`~repro.campaignd.service.CampaignService`, which
+          resolves specs against the cache and journal, simulates the
+          rest on the chosen driver, and raises
+          :class:`~repro.parallel.executor.CampaignError` with the
+          partial results if any spec fails.
 
         ``workers`` is the legacy per-call keyword; ``options`` (a
         :class:`~repro.options.RunOptions`) is the documented way to
@@ -288,7 +298,8 @@ class ExperimentRunner:
         plain_serial = (
             options.workers <= 1 and cache is None
             and options.trace_sink is None and not options.progress
-            and not options.fleet and not options.campaignd
+            and options.journal is None and options.driver is None
+            and not options.retries
         )
         if plain_serial:
             return [
@@ -298,7 +309,13 @@ class ExperimentRunner:
                 for (config, workload, seed, max_references), label
                 in zip(specs, labels)
             ]
-        from repro.parallel import RunCell, execute_cells
+        from repro.campaignd import (
+            CampaignService,
+            LocalDriver,
+            RetryPolicy,
+            SubprocessDriver,
+        )
+        from repro.parallel import RunCell
 
         cells = [
             RunCell(config, workload, seed=seed,
@@ -311,29 +328,6 @@ class ExperimentRunner:
             for (config, workload, seed, max_references), label
             in zip(specs, labels)
         ]
-        if options.campaignd:
-            return self._run_service(cells, options, cache)
-        return execute_cells(
-            cells, workers=options.workers, cache=cache,
-            sink=options.trace_sink, progress=options.progress,
-            fleet=options.fleet,
-        )
-
-    def _run_service(self, cells, options, cache):
-        """Drive *cells* through the campaign service.
-
-        The resumable/distributed/retrying path selected whenever the
-        options carry a journal, a driver choice, retries, or a cell
-        timeout (``options.campaignd``).  Results are bit-identical
-        to :func:`~repro.parallel.execute_cells` on the same cells.
-        """
-        from repro.campaignd import (
-            CampaignService,
-            LocalDriver,
-            RetryPolicy,
-            SubprocessDriver,
-        )
-
         if options.driver == "subprocess":
             driver = SubprocessDriver(
                 workers=options.workers,
@@ -341,10 +335,9 @@ class ExperimentRunner:
             )
         else:
             driver = LocalDriver(
-                workers=options.workers, fleet=options.fleet,
-                sink=options.trace_sink,
+                workers=options.workers, sink=options.trace_sink,
             )
-        service = CampaignService(
+        return CampaignService(
             cells,
             journal=options.journal,
             cache=cache,
@@ -356,8 +349,7 @@ class ExperimentRunner:
             ),
             sink=options.trace_sink,
             progress=options.progress,
-        )
-        return service.run()
+        ).run()
 
     def run_repetitions(self, config, workload, repetitions=5,
                         max_references=None, workers=None,

@@ -38,14 +38,6 @@ class RunOptions:
     workers:
         Worker-process count for multi-cell entry points; 1 runs
         in-process.
-    fleet:
-        Step all pending cells of a multi-cell entry point in lockstep
-        inside this process (:mod:`repro.fleet`): the vectorized
-        classifier runs across every machine at once instead of one
-        process per cell.  Bit-identical to the serial and pooled
-        paths; keep the process pool (``workers``) for cross-host
-        scale.  When both are set the fleet wins and no pool is
-        spawned.
     chunk_refs:
         References per flat workload chunk (0 selects the legacy
         per-tuple stream).  Bit-identical either way.
@@ -77,30 +69,28 @@ class RunOptions:
         Likewise excluded from equality.
     journal:
         Path to an append-only campaign journal
-        (:class:`~repro.campaignd.journal.CampaignJournal`).  Setting
-        it routes multi-cell entry points through the campaign
-        service: every completed cell is durably recorded, and a
-        rerun resumes instead of recomputing.  Like every other knob,
-        journaling never changes results — only crash behaviour.
+        (:class:`~repro.campaignd.journal.CampaignJournal`).  With
+        it, multi-cell entry points record every completed cell
+        durably, and a rerun resumes instead of recomputing.  Like
+        every other knob, journaling never changes results — only
+        crash behaviour.
     driver:
         Campaign execution backend: ``None``/``"local"`` for the
-        in-process pool/fleet paths, ``"subprocess"`` for ``repro
+        in-process serial or pool path, ``"subprocess"`` for ``repro
         worker`` subprocesses sharding over the shared cache
-        directory.  Any non-``None`` value routes through the
-        campaign service.  Results are bit-identical across drivers.
+        directory.  Results are bit-identical across drivers.
     retries:
         Extra service-level attempts for failed cells (0 = fail
-        fast).  A non-zero value routes through the campaign service.
+        fast).
     retry_backoff_seconds:
         Base of the exponential sleep between retry attempts.
     cell_timeout_seconds:
         Wall-clock bound on one worker shard; requires the
         ``subprocess`` driver (the in-process pool cannot kill a
-        stuck worker).  Setting it routes through the service.
+        stuck worker).
     """
 
     workers: int = 1
-    fleet: bool = False
     chunk_refs: int = DEFAULT_CHUNK_REFS
     cache_dir: Optional[str] = None
     use_cache: bool = True
@@ -164,16 +154,6 @@ class RunOptions:
                 "cell_timeout_seconds requires driver='subprocess' "
                 "(the in-process pool cannot kill a stuck worker)"
             )
-
-    @property
-    def campaignd(self):
-        """Whether these options route through the campaign service."""
-        return (
-            self.journal is not None
-            or self.driver is not None
-            or self.retries > 0
-            or self.cell_timeout_seconds is not None
-        )
 
     def build_cache(self):
         """The :class:`ResultCache` these options describe, or ``None``."""

@@ -3,8 +3,9 @@
 The experiment matrices behind the paper's tables are embarrassingly
 parallel: every (config, workload, seed) cell is an independent
 cold-start simulation.  :func:`execute_cells` fans cells out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and merges the
-results back in submission order, so parallel runs are bit-identical
+:class:`~concurrent.futures.ProcessPoolExecutor` (through the campaign
+service, :mod:`repro.campaignd`) and merges the results back in
+submission order, so parallel runs are bit-identical
 to serial ones; :class:`ResultCache` persists each cell's
 :class:`~repro.machine.runner.RunResult` under a stable hash of its
 inputs, so re-running a bench or sweep only simulates changed cells.
@@ -27,7 +28,6 @@ from repro.parallel.executor import (
     CellFailure,
     RunCell,
     execute_cells,
-    run_pending,
     simulate_cell,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "execute_cells",
     "result_from_payload",
     "result_to_payload",
-    "run_pending",
     "simulate_cell",
     "workload_spec",
 ]

@@ -1,15 +1,17 @@
 """Multiprocess fan-out of independent simulation cells.
 
 One :class:`RunCell` is one cold-start simulation — the unit the
-experiment matrices are built from.  :func:`execute_cells` resolves
-each cell against an optional :class:`~repro.parallel.cache.ResultCache`,
-simulates the misses (serially, or over a pool of worker processes),
-and returns results in the order the cells were given.  Because every
-cell is fully determined by its inputs and cells share no state, the
-worker count changes wall-clock time only: the returned
-:class:`~repro.machine.runner.RunResult` list is bit-identical for any
-``workers`` value (``host_seconds`` and ``observation``, both excluded
-from result equality, are the lone per-host fields).
+experiment matrices are built from.  :func:`execute_cells` hands the
+cells to the campaign service, which resolves each against an
+optional :class:`~repro.parallel.cache.ResultCache`, simulates the
+misses (serially, or over a pool of worker processes running
+:func:`simulate_cell`), and returns results in the order the cells
+were given.  Because every cell is fully determined by its inputs and
+cells share no state, the worker count changes wall-clock time only:
+the returned :class:`~repro.machine.runner.RunResult` list is
+bit-identical for any ``workers`` value (``host_seconds`` and
+``observation``, both excluded from result equality, are the lone
+per-host fields).
 
 Failures degrade gracefully: a cell that raises never aborts the
 campaign.  Remaining cells run to completion, each failure is recorded
@@ -24,13 +26,11 @@ inside ``RunResult.observation``; the parent emits trace events to the
 optional ``sink`` and drives the optional ``progress`` reporter.
 """
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.common.errors import ReproError
 from repro.observe.series import DEFAULT_EPOCH_REFS
-from repro.parallel.cache import CacheKeyError, cache_key
 from repro.workloads.base import DEFAULT_CHUNK_REFS
 
 
@@ -142,67 +142,15 @@ def _failure(index, cell, error):
     )
 
 
-def run_pending(cells, pending, record, workers=1, fleet=False,
-                sink=None):
-    """Simulate the *pending* subset of *cells* through a work path.
-
-    The execution core shared by :func:`execute_cells` and the
-    campaign service's :class:`~repro.campaignd.drivers.LocalDriver`:
-    picks the in-process, process-pool, or lockstep-fleet path and
-    feeds every outcome to ``record(index, outcome)`` — a
-    :class:`~repro.machine.runner.RunResult` on success, the raised
-    exception on failure.  ``record`` is always called from the
-    calling process (workers return values; they never call back), so
-    callers may journal, cache, and emit from it without locking.
-    """
-    from repro.observe.sinks import stamp
-
-    if fleet and pending:
-        from repro.fleet.runner import simulate_cells_fleet
-
-        simulate_cells_fleet(cells, pending, record)
-    elif workers <= 1 or len(pending) <= 1:
-        for index in pending:
-            try:
-                outcome = simulate_cell(cells[index])
-            except Exception as error:
-                outcome = error
-            record(index, outcome)
-    else:
-        pool_size = min(workers, len(pending))
-        if sink is not None:
-            sink.emit(stamp({
-                "type": "worker_pool_started",
-                "workers": pool_size,
-                "cells": len(pending),
-            }))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {
-                pool.submit(simulate_cell, cells[index]): index
-                for index in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(
-                    remaining, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    error = future.exception()
-                    record(
-                        futures[future],
-                        error if error is not None
-                        else future.result(),
-                    )
-        if sink is not None:
-            sink.emit(stamp({
-                "type": "worker_pool_finished",
-                "workers": pool_size,
-            }))
-
-
 def execute_cells(cells, workers=1, cache=None, sink=None,
-                  progress=None, fleet=False):
+                  progress=None):
     """Execute *cells*, returning results in the given cell order.
+
+    A one-shot campaign: a thin call to
+    :class:`~repro.campaignd.service.CampaignService` over a
+    :class:`~repro.campaignd.drivers.LocalDriver`, with no journal and
+    no retries.  Cache lookup, failure records and trace events
+    therefore come from the service, whatever the worker count.
 
     Parameters
     ----------
@@ -210,17 +158,11 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         Iterable of :class:`RunCell`.
     workers:
         Process count; 1 simulates in-process (no pool is created).
-    fleet:
-        Step every pending cell in lockstep inside this process
-        (:func:`repro.fleet.runner.simulate_cells_fleet`) instead of
-        fanning out — bit-identical results, one vectorized pass
-        across all machines.  When set, ``workers`` is ignored and no
-        pool is spawned.
     cache:
         Optional :class:`ResultCache`.  Hits skip simulation entirely;
         misses are simulated then stored.  Cells whose inputs cannot
-        be canonically hashed (:class:`CacheKeyError`) are simulated
-        unconditionally and never stored — correctness first.
+        be canonically hashed are simulated unconditionally and never
+        stored — correctness first.
     sink:
         Optional trace sink (``emit(dict)``); receives campaign,
         cell, and worker-pool lifecycle events plus each completed
@@ -233,83 +175,11 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
     their chance if any cell failed; successful results (and cache
     stores) survive the error.
     """
-    from repro.observe.progress import CampaignProgress
-    from repro.observe.sinks import emit_cell, emit_run, stamp
+    from repro.campaignd.drivers import LocalDriver
+    from repro.campaignd.service import CampaignService
 
-    cells = list(cells)
-    results = [None] * len(cells)
-    keys = [None] * len(cells)
-    hits = []
-    pending = []
-    for index, cell in enumerate(cells):
-        if cache is not None:
-            try:
-                keys[index] = cache_key(
-                    cell.config, cell.workload, cell.seed,
-                    cell.max_references,
-                )
-            except CacheKeyError:
-                keys[index] = None
-            if keys[index] is not None:
-                hit = cache.get(keys[index])
-                if hit is not None:
-                    results[index] = hit
-                    hits.append(index)
-                    continue
-        pending.append(index)
-
-    progress = CampaignProgress.coerce(progress, len(cells))
-    if sink is not None:
-        sink.emit(stamp({
-            "type": "campaign_started",
-            "cells": len(cells),
-            "cached": len(hits),
-            "workers": workers,
-            "fleet": bool(fleet),
-        }))
-    for index in hits:
-        emit_cell(sink, "cell_cached", index, cells[index])
-        if progress is not None:
-            progress.cell_cached()
-
-    failures = []
-
-    def record(index, outcome):
-        """Fold one finished/raised cell into results and telemetry."""
-        cell = cells[index]
-        if isinstance(outcome, BaseException):
-            failures.append(_failure(index, cell, outcome))
-            emit_cell(sink, "cell_failed", index, cell,
-                      error=f"{type(outcome).__name__}: {outcome}")
-            if progress is not None:
-                progress.cell_failed()
-        else:
-            results[index] = outcome
-            emit_run(sink, outcome, label=cell.label)
-            emit_cell(sink, "cell_finished", index, cell)
-            if progress is not None:
-                progress.cell_finished()
-
-    run_pending(cells, pending, record, workers=workers, fleet=fleet,
-                sink=sink)
-
-    if cache is not None:
-        # Stores happen in the parent, after the pool has drained, so
-        # concurrent workers never race on the cache directory.
-        for index in pending:
-            if keys[index] is not None and results[index] is not None:
-                cache.put(keys[index], results[index])
-
-    if progress is not None:
-        progress.finish()
-    if sink is not None:
-        sink.emit(stamp({
-            "type": "campaign_finished",
-            "cells": len(cells),
-            "cached": len(hits),
-            "failed": len(failures),
-        }))
-    if failures:
-        failures.sort(key=lambda failure: failure.index)
-        raise CampaignError(failures, results)
-    return results
+    return CampaignService(
+        cells, cache=cache,
+        driver=LocalDriver(workers=workers, sink=sink),
+        sink=sink, progress=progress,
+    ).run()

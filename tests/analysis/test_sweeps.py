@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.analysis.sweeps import METRICS, SweepDriver
+from repro.analysis.sweeps import (
+    METRICS,
+    SweepDriver,
+    associativity_axis,
+    cache_size_axis,
+)
+from repro.cache.cache import VirtualCache
+from repro.common.errors import ConfigurationError
+from repro.common.params import CacheGeometry, MemoryTiming
 from repro.machine.config import scaled_config
 from repro.workloads.slc import SlcWorkload
 
@@ -75,6 +83,49 @@ class TestDriver:
                 scaled_config(), "memory_bytes", (),
                 lambda: SlcWorkload(length_scale=SCALE),
             )
+
+
+class TestAxes:
+    def test_cache_size_axis(self):
+        config = scaled_config(memory_ratio=40)
+        bigger = cache_size_axis(config, config.cache.size_bytes * 2)
+        assert bigger.cache.size_bytes == config.cache.size_bytes * 2
+        assert bigger.cache.block_bytes == config.cache.block_bytes
+        with pytest.raises(ConfigurationError):
+            cache_size_axis(config, 12345)  # not a power of two
+
+    def test_associativity_axis(self):
+        config = scaled_config(memory_ratio=40)
+        ways4 = associativity_axis(config, 4)
+        assert ways4.cache.associativity == 4
+        assert ways4.cache.num_sets == ways4.cache.num_lines // 4
+        with pytest.raises(ConfigurationError):
+            associativity_axis(config, 3)  # not a power of two
+        with pytest.raises(ConfigurationError):
+            associativity_axis(
+                config, config.cache.num_lines * 2
+            )  # more ways than blocks
+
+    def test_virtual_cache_refuses_set_associative(self):
+        geometry = CacheGeometry(
+            size_bytes=16 * 1024, block_bytes=32, associativity=2
+        )
+        with pytest.raises(ConfigurationError):
+            VirtualCache(geometry, MemoryTiming())
+
+    def test_sweep_driver_accepts_axis_callables(self):
+        driver = SweepDriver(
+            scaled_config(memory_ratio=40), cache_size_axis,
+            [8 * 1024, 16 * 1024],
+            lambda: SlcWorkload(length_scale=SCALE),
+        )
+        assert driver.field_name == "cache_size_axis"
+        driver = SweepDriver(
+            scaled_config(memory_ratio=40), associativity_axis,
+            [1, 2, 4],
+            lambda: SlcWorkload(length_scale=SCALE),
+        )
+        assert driver.field_name == "associativity_axis"
 
 
 class TestRendering:

@@ -154,6 +154,30 @@ class TestRenderReport:
             assert needle in text
 
 
+class TestScalarBailouts:
+    def test_surface_in_trace_and_report(self):
+        import dataclasses
+
+        from repro.machine.config import scaled_config
+        from repro.machine.runner import ExperimentRunner
+        from repro.observe.sinks import MemorySink, emit_run
+        from repro.workloads.workload1 import Workload1
+
+        result = ExperimentRunner().run(
+            scaled_config(memory_ratio=40),
+            Workload1(length_scale=0.01), max_references=1000,
+        )
+        stamped = dataclasses.replace(result, scalar_bailouts=3)
+        sink = MemorySink()
+        emit_run(sink, stamped)
+        finished = sink.of_type("run_finished")
+        assert finished[0]["scalar_bailouts"] == 3
+        summary = summarize_trace(sink.events)
+        assert summary.scalar_bailouts == 3
+        assert summary.to_json_dict()["scalar_bailouts"] == 3
+        assert "chunk.scalar-bailout" in render_report(summary)
+
+
 class TestCliReport:
     def test_report_with_exports(self, tmp_path, capsys):
         from repro.cli import main

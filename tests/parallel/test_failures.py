@@ -145,12 +145,47 @@ class TestPooledFailures:
         assert pooled.value.results[0] == serial.value.results[0]
         assert pooled.value.results[2] == serial.value.results[2]
 
+    def test_pool_reports_through_the_campaign_service(
+        self, broken_workload
+    ):
+        sink = MemorySink()
+        cells = [cell for cell in make_cells(broken_workload)
+                 if cell.label != "doomed"]
+        execute_cells(cells, workers=2, sink=sink)
+
+        (started,) = sink.of_type("campaign_started")
+        assert started["driver"] == "local(workers=2)"
+        assert started["cells"] == 2
+        assert started["pending"] == 2
+        assert started["resumed"] == 0
+        assert len(sink.of_type("worker_pool_started")) == 1
+
+    def test_pool_failure_events_and_partial_results(
+        self, broken_workload
+    ):
+        with pytest.raises(CampaignError) as serial:
+            execute_cells(make_cells(broken_workload))
+        sink = MemorySink()
+        with pytest.raises(CampaignError) as pooled:
+            execute_cells(make_cells(broken_workload), workers=2,
+                          sink=sink)
+
+        types = [event["type"] for event in sink.events]
+        assert types.count("cell_attempt_failed") == 1
+        assert types.count("cell_failed") == 1
+        assert (types.index("cell_attempt_failed")
+                < types.index("cell_failed"))
+        (attempt,) = sink.of_type("cell_attempt_failed")
+        assert attempt["label"] == "doomed"
+        assert attempt["attempt"] == 0
+        assert pooled.value.results == serial.value.results
+
 
 class TestRunnerSurface:
     def test_run_many_raises_campaign_error(self, broken_workload):
         # Any campaign feature (sink, progress, cache, workers > 1)
-        # routes run_many through execute_cells and its graceful
-        # failure handling.
+        # routes run_many through the campaign service and its
+        # graceful failure handling.
         runner = ExperimentRunner(options=RunOptions(
             trace_sink=MemorySink(),
         ))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache.bus import SnoopyBus
 from repro.cache.cache import VirtualCache
+from repro.cache.columns import HAVE_NUMPY
 from repro.cache.coherence import CoherencyState
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
@@ -16,6 +17,7 @@ from repro.sanitize import (
     InvariantViolation,
     check_block_ownership,
     check_cache_arrays,
+    check_column_store,
     check_dirty_policy,
     check_line,
     check_vm,
@@ -148,6 +150,45 @@ class TestColumnStoreAgreement:
         expect_violation(
             "cache.column-store-agreement", check_cache_arrays, cache
         )
+
+    def test_simulated_machine_passes(self):
+        machine = simulated_machine()
+        check_column_store(machine.cache)  # no raise
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+    def test_detached_views_raise(self):
+        # Rebinding both the cache alias and the store column to a
+        # private copy keeps the alias check happy; only the numpy
+        # views, still over the old buffer, can see the desync.
+        from array import array
+
+        machine = simulated_machine()
+        columns = machine.cache.columns
+        private = array("q", columns.tags)
+        private[0] += 1
+        columns.tags = private
+        machine.cache.tags = private
+        violation = expect_violation(
+            "cache.column-store-agreement",
+            check_column_store, machine.cache,
+        )
+        assert "tags" in str(violation)
+
+
+def simulated_machine():
+    """A machine after a short chunked run over WORKLOAD1."""
+    from repro.machine.config import scaled_config
+    from repro.machine.simulator import SpurMachine
+    from repro.workloads.workload1 import Workload1
+
+    config = scaled_config(memory_ratio=40)
+    instance = Workload1(length_scale=0.01).instantiate(
+        config.page_bytes, seed=1
+    )
+    machine = SpurMachine(config, instance.space_map)
+    chunks = instance.access_chunks(1024)
+    machine.run_chunks(next(chunks) for _ in range(2))
+    return machine
 
 
 class TestBusChecks:
