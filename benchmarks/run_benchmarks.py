@@ -58,8 +58,7 @@ from repro.workloads.base import chunk_accesses  # noqa: E402
 #: Per-shape speedup floors written into fresh baselines.  The hits
 #: gate protects the batching win (measured 2.24x); the misses and
 #: writes gates protect the batched miss/write resolver (measured
-#: >=3x with the columnar classifier; the floors hold on the pure
-#: Python fallback too).
+#: >=3x).
 DEFAULT_GATES = {
     "hits": {"min_speedup": 1.6},
     "misses": {"min_speedup": 2.5},

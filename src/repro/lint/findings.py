@@ -93,8 +93,6 @@ class LintConfig:
     effect_hot_loops: tuple = (
         "SpurMachine.run",
         "SpurMachine.run_chunks",
-        "SpurMachine._run_segment",
-        "SpurMachine._run_segment_columns",
         "SpurMachine._run_refs",
         "SpurMachine._resolve_miss",
         "SpurMachine._resolve_write_hit",

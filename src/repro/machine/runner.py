@@ -58,10 +58,7 @@ class RunResult:
     potentially_modified: int
     not_modified: int
     host_seconds: float = field(default=0.0, compare=False)
-    #: Times the vectorized classifier fell back to the per-reference
-    #: loop mid-segment (see ``SpurMachine.scalar_bailouts``).  A host
-    #: diagnostic like ``host_seconds``: excluded from equality and
-    #: cache serialisation, so cached results read back 0.
+    #: Always 0: kept only because the perfbench harness still reads it.
     scalar_bailouts: int = field(default=0, compare=False)
     observation: Optional[RunObservation] = field(
         default=None, compare=False, repr=False
@@ -250,7 +247,6 @@ class ExperimentRunner:
             potentially_modified=swap_stats.potentially_modified,
             not_modified=swap_stats.not_modified,
             host_seconds=host_seconds,
-            scalar_bailouts=machine.scalar_bailouts,
             observation=observation,
         )
         if options.trace_sink is not None:

@@ -1,12 +1,14 @@
 """The SPUR machine: cache + translation + VM + policies + counters.
 
-The reference-processing loop in :meth:`SpurMachine.run` is the
-performance-critical core of the whole reproduction — every simulated
-memory reference passes through it.  It therefore reads the cache's
-parallel tag arrays directly (they are public for exactly this
-purpose) and keeps its bookkeeping in local variables, falling into
-method calls only on the rare paths: misses, write hits needing
-dirty-bit work, faults.
+Two loops process references.  :meth:`SpurMachine.run` consumes
+``(kind, vaddr)`` tuples one at a time and is the *spec*: the simplest
+statement of the cache/translation/fault semantics, which every faster
+path must match bit for bit.  :meth:`SpurMachine.run_chunks` is the
+hot path every experiment uses: it consumes flat reference chunks,
+reads the cache's flat tag columns directly (they are public for
+exactly this purpose), keeps its bookkeeping in local variables and a
+deferred tally, and falls into method calls only on the rare paths:
+misses, write hits needing dirty-bit work, faults.
 
 Cycle model (Table 2.1, Section 3.2):
 
@@ -20,11 +22,6 @@ Cycle model (Table 2.1, Section 3.2):
 
 import sys
 from array import array
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI runs without numpy
-    _np = None
 
 from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
@@ -80,12 +77,7 @@ _T_READ_MISS = TALLY_CACHE_SLOTS + 5
 _T_WRITE_MISS = TALLY_CACHE_SLOTS + 6
 _T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 7
 _T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 8
-# Diagnostic (not a counter event): times the vectorized classifier
-# abandoned a stale classification snapshot and finished the segment
-# in the per-reference loop.  Folded into ``scalar_bailouts`` at flush
-# so conflict-heavy traces are diagnosable instead of silently slow.
-_T_SCALAR_BAILOUT = TALLY_CACHE_SLOTS + 9
-_TALLY_SLOTS = TALLY_CACHE_SLOTS + 10
+_TALLY_SLOTS = TALLY_CACHE_SLOTS + 9
 _TALLY_ZEROS = (0,) * _TALLY_SLOTS
 
 _TALLY_EVENTS = (
@@ -99,11 +91,6 @@ _TALLY_EVENTS = (
     (_T_WRITE_HIT_CLEAN, Event.WRITE_HIT_CLEAN_BLOCK),
     (_T_WRITE_READ_FILLED, Event.WRITE_TO_READ_FILLED_BLOCK),
 )
-
-#: Minimum segment length (in references) worth the vectorized
-#: classifier's setup cost; shorter segments run the per-reference
-#: loop against the same columns.
-_COLUMN_MIN_REFS = 128
 
 # Byte patterns for C-speed kind tallies over a flat chunk's kind
 # slice (``array('q')``, so 8 bytes per element, native byte order).
@@ -207,12 +194,6 @@ class SpurMachine:
 
         self.cycles = 0
         self.references = 0
-        #: Times the vectorized classifier abandoned a stale
-        #: classification snapshot (diagnostic; see
-        #: ``_run_segment_columns``).  Not a counter event — both hot
-        #: paths stay bit-identical — but surfaced on RunResult and in
-        #: trace records so conflict-heavy traces are diagnosable.
-        self.scalar_bailouts = 0
         self.reference_mix = ReferenceMix()
         #: Set by SmpSystem when this processor joins a shared-memory
         #: system; page flushes then cover every cache in the domain.
@@ -230,11 +211,6 @@ class SpurMachine:
         self._pte_check_cycles = self.translator.timing.pte_check_cycles
         self._second_check_cycles = (
             self.translator.timing.second_level_check_cycles
-        )
-        #: Whether the vectorized segment classifier is usable; tests
-        #: force the per-reference fallback by clearing this.
-        self._use_numpy = (
-            _np is not None and self.cache.columns.views is not None
         )
 
     # -- coherence-domain operations ---------------------------------------
@@ -268,11 +244,12 @@ class SpurMachine:
         self.counters.increment(Event.FLUSH_WRITE_BACK, write_backs)
         return cycles
 
-    # -- the hot loop ---------------------------------------------------
+    # -- reference loops -------------------------------------------------
 
     def run(self, accesses):
         """Simulate a stream of ``(kind, vaddr)`` references.
 
+        The spec loop: :meth:`run_chunks` must match it bit for bit.
         ``kind`` is an ``int(AccessKind)``; workload generators yield
         plain ints to keep this loop allocation-free.  Returns the
         number of references processed.
@@ -345,17 +322,15 @@ class SpurMachine:
         :meth:`run`, but several times faster: each chunk is cut into
         poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
-        :meth:`_run_segment` — a vectorized classify-then-resolve pass
-        against the cache's flat columns when numpy is available, a
-        single-compare per-reference loop otherwise.  Kind tallies
-        come from byte-pattern counts over the chunk's kind slice
-        (memchr speed, no per-element boxing), the per-reference cycle
-        charge is folded into one addition per call, and miss-path
-        bookkeeping is deferred into a per-call tally flushed by
-        :meth:`_flush_tally`.  Returns the number of references
-        processed.
+        :meth:`_run_refs`, a single-compare per-reference loop against
+        the cache's flat columns.  Kind tallies come from byte-pattern
+        counts over the chunk's kind slice (memchr speed, no
+        per-element boxing), the per-reference cycle charge is folded
+        into one addition per call, and miss-path bookkeeping is
+        deferred into a per-call tally flushed by :meth:`_flush_tally`.
+        Returns the number of references processed.
         """
-        run_segment = self._run_segment
+        run_refs = self._run_refs
         interval = self.config.daemon_poll_refs
         poll = self.vm.daemon.poll if interval else None
         tally = array("q", _TALLY_ZEROS)
@@ -377,10 +352,10 @@ class SpurMachine:
                 ifetches += chunk_ifetches
                 writes += chunk_writes
                 reads += pairs - chunk_ifetches - chunk_writes
-                # Kind-uniform read or ifetch chunks let the fallback
-                # segment loop carry vaddrs only (kind held constant);
-                # chunks containing writes stay mixed because write
-                # hits need the settled-dirty test.
+                # Kind-uniform read or ifetch chunks let the segment
+                # loop carry vaddrs only (kind held constant); chunks
+                # containing writes stay mixed because write hits need
+                # the settled-dirty test.
                 if chunk_writes:
                     uniform = -1
                 elif chunk_ifetches == 0:
@@ -406,7 +381,7 @@ class SpurMachine:
                         if stop > pairs:
                             stop = pairs
                     if stop > start:
-                        extra += run_segment(
+                        extra += run_refs(
                             chunk, start, stop, tally, uniform
                         )
                         processed += stop - start
@@ -416,7 +391,7 @@ class SpurMachine:
                         # boundary: poll first, then process it as a
                         # one-reference segment.
                         cycles += poll()
-                        extra += run_segment(
+                        extra += run_refs(
                             chunk, start, start + 1, tally, uniform
                         )
                         processed += 1
@@ -439,24 +414,10 @@ class SpurMachine:
         self.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
         return processed
 
-    def _run_segment(self, chunk, start, end, tally, uniform):
-        """Process the poll-free segment ``chunk[start:end)`` (pair
-        indices), returning cycles beyond the base charge.
-
-        Dispatches to the vectorized classifier when the cache's numpy
-        column views exist and the segment is long enough to amortize
-        the setup; otherwise runs the per-reference fallback.
-        """
-        if self._use_numpy and end - start >= _COLUMN_MIN_REFS:
-            return self._run_segment_columns(chunk, start, end, tally)
-        return self._run_refs(chunk, start, end, tally, uniform)
-
     def _run_refs(self, chunk, start, end, tally, uniform):
-        """Per-reference segment loop over ``chunk[start:end)``.
+        """Per-reference loop over the poll-free segment
+        ``chunk[start:end)`` (pair indices).
 
-        The structural workhorse behind :meth:`_run_segment`: used
-        when numpy is unavailable, for short segments, and to finish a
-        vectorized segment whose upfront classification went stale.
         ``uniform`` >= 0 pins every reference's kind (a kind-uniform
         read/ifetch chunk), enabling a vaddr-only loop.  Returns extra
         cycles beyond the base charge.
@@ -496,131 +457,6 @@ class SpurMachine:
                 continue
             extra += resolve(kind, vaddr, tally)
         return extra
-
-    def _run_segment_columns(self, chunk, start, end, tally):
-        """Vectorized segment pass against the cache's flat columns.
-
-        One numpy index/compare sweep classifies every reference in
-        the segment: hits on settled lines are *events-free* and cost
-        nothing beyond the base cycle, so only the flagged positions
-        (misses, and write hits whose dirty state is unsettled) are
-        walked in order and resolved individually.
-
-        Resolutions mutate the columns, so a position classified
-        clean in the upfront sweep may have gone stale (its line
-        evicted, its settled write unsettled) by the time it is
-        reached.  After the first mutation, every skipped gap is
-        re-verified against the live views (:meth:`_first_stale`,
-        zero-copy over the same buffers); if anything changed, the
-        rest of the segment finishes in the per-reference loop —
-        exact, and bounded linear even on pathological conflict
-        streams.  Returns extra cycles beyond the base charge.
-        """
-        views = self.cache.columns.views
-        flat = _np.frombuffer(chunk, dtype=_np.int64)
-        seg = flat[start << 1:end << 1]
-        kinds = seg[0::2]
-        vaddrs = seg[1::2]
-        cache = self.cache
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        blocks = vaddrs >> block_bits
-        idx = blocks & index_mask
-        miss = _np.not_equal(views.line_block[idx], blocks)
-        is_write = _np.equal(kinds, _WRITE)
-        if bool(is_write.any()):
-            unsettled = (
-                is_write
-                & ~miss
-                & ~(
-                    (views.block_dirty[idx] != 0)
-                    & (views.page_dirty[idx] != 0)
-                    & (views.prot[idx] == _RW)
-                )
-            )
-            events = _np.flatnonzero(miss | unsettled)
-        else:
-            events = _np.flatnonzero(miss)
-        if not events.size:
-            return 0
-        positions = events.tolist()
-
-        line_block = cache.line_block
-        block_dirty = cache.block_dirty
-        page_dirty = cache.page_dirty
-        prot = cache.prot
-        write_hit = self._resolve_write_hit
-        resolve = self._resolve_miss
-        run_refs = self._run_refs
-        first_stale = self._first_stale
-        base = start << 1
-        extra = 0
-        mutated = False
-        prev = 0
-        for p in positions:
-            if mutated and p > prev:
-                stale = first_stale(blocks, idx, is_write, prev, p)
-                if stale >= 0:
-                    tally[_T_SCALAR_BAILOUT] += 1
-                    return extra + run_refs(
-                        chunk, start + stale, end, tally, -1
-                    )
-            offset = base + (p << 1)
-            kind = chunk[offset]
-            vaddr = chunk[offset + 1]
-            block = vaddr >> block_bits
-            index = block & index_mask
-            if line_block[index] == block:
-                # Classified as an unsettled write hit; an earlier
-                # resolution may have settled it, so re-test live.
-                if kind == 2 and not (
-                    block_dirty[index]
-                    and page_dirty[index]
-                    and prot[index] == _RW
-                ):
-                    extra += write_hit(index, vaddr, tally)
-                    mutated = True
-            else:
-                extra += resolve(kind, vaddr, tally)
-                mutated = True
-            prev = p + 1
-        if mutated and prev < end - start:
-            stale = first_stale(blocks, idx, is_write, prev, end - start)
-            if stale >= 0:
-                tally[_T_SCALAR_BAILOUT] += 1
-                return extra + run_refs(
-                    chunk, start + stale, end, tally, -1
-                )
-        return extra
-
-    def _first_stale(self, blocks, idx, is_write, lo, hi):
-        """First position in ``[lo, hi)`` whose clean classification
-        no longer holds against the live columns, or -1.
-
-        Called between events while walking a vectorized segment: the
-        slow paths mutate the columns, so references classified clean
-        in the upfront sweep are re-verified (one vectorized pass over
-        the gap, against the same shared buffers) before being
-        skipped.
-        """
-        views = self.cache.columns.views
-        gap_idx = idx[lo:hi]
-        gap_miss = _np.not_equal(
-            views.line_block[gap_idx], blocks[lo:hi]
-        )
-        bad = gap_miss | (
-            is_write[lo:hi]
-            & ~gap_miss
-            & ~(
-                (views.block_dirty[gap_idx] != 0)
-                & (views.page_dirty[gap_idx] != 0)
-                & (views.prot[gap_idx] == _RW)
-            )
-        )
-        flagged = _np.flatnonzero(bad)
-        if flagged.size:
-            return lo + int(flagged[0])
-        return -1
 
     def _resolve_miss(self, kind, vaddr, tally):
         """Batched-path twin of :meth:`_miss` with deferred counters.
@@ -842,9 +678,6 @@ class SpurMachine:
         write_misses = tally[_T_WRITE_MISS]
         if write_misses:
             increment(Event.WRITE_MISS_FILL, write_misses)
-        bailouts = tally[_T_SCALAR_BAILOUT]
-        if bailouts:
-            self.scalar_bailouts += bailouts
         for slot, event in _TALLY_EVENTS:
             count = tally[slot]
             if count:

@@ -222,6 +222,22 @@ def write_pair_trace(regions, count):
     return refs
 
 
+def conflicting_pair_trace(regions, count):
+    """Stable hits interleaved with two blocks that share one line:
+    each pair member evicts the other, so a reference that hit when
+    its segment started misses by the time it is reached."""
+    heap = regions["heap"].start
+    a, b = heap, heap + 32 * 32          # same line, different blocks
+    stable = [heap + line * 32 for line in range(1, 9)]
+    refs = []
+    for i in range(count // 4):
+        refs.append((READ, a))
+        refs.append((READ, stable[i % 8]))
+        refs.append((READ, b))
+        refs.append((READ, stable[(i + 3) % 8]))
+    return refs
+
+
 class TestNonPowerOfTwoPoll:
     """daemon_poll_refs was once restricted to powers of two; the
     arithmetic segmentation must handle any positive interval."""
@@ -283,7 +299,8 @@ class TestResolverDominatedTraces:
     stay bit-identical to the legacy loop."""
 
     @pytest.mark.parametrize("builder", [conflict_trace,
-                                         write_pair_trace])
+                                         write_pair_trace,
+                                         conflicting_pair_trace])
     def test_dominated_trace_sanitized(self, builder):
         from repro.machine.simulator import SpurMachine
         from repro.sanitize import sanitizer as sanitize_mod
@@ -305,15 +322,13 @@ class TestResolverDominatedTraces:
 
 
 class TestClassifierPaths:
-    """Both classifier implementations produce identical machines."""
+    """The chunked segment loop matches the spec loop on hit-, miss-
+    and conflict-heavy streams."""
 
     @pytest.mark.parametrize("builder", [mixed_trace, conflict_trace,
-                                         write_pair_trace])
-    def test_python_fallback_matches_legacy(self, builder):
-        # Clearing _use_numpy forces the per-reference fallback even
-        # where the vectorized classifier would normally dispatch.
-        from repro.machine.simulator import SpurMachine
-
+                                         write_pair_trace,
+                                         conflicting_pair_trace])
+    def test_chunked_matches_legacy(self, builder):
         space_map, regions = simple_space()
         trace = builder(regions, 2000)
         legacy = SpurMachine(tiny_config(), space_map)
@@ -321,37 +336,6 @@ class TestClassifierPaths:
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(), space_map2)
-        chunked._use_numpy = False
-        chunked.run_chunks(chunk_accesses(iter(trace), 512))
-        assert machine_state(chunked) == machine_state(legacy)
-
-    def test_gap_recheck_on_stale_classification(self):
-        # Interleave stable hits with a conflicting block pair: the
-        # upfront sweep classifies the second pair member a hit, the
-        # first member's resolution evicts it, and the gap re-check
-        # must catch the stale classification mid-segment.
-        from repro.machine import simulator
-        from repro.machine.simulator import SpurMachine
-
-        if simulator._np is None:
-            pytest.skip("numpy unavailable")
-
-        space_map, regions = simple_space()
-        heap = regions["heap"].start
-        a, b = heap, heap + 32 * 32          # same line, different blocks
-        stable = [heap + line * 32 for line in range(1, 9)]
-        trace = []
-        for i in range(300):
-            trace.append((READ, a))
-            trace.append((READ, stable[i % 8]))
-            trace.append((READ, b))
-            trace.append((READ, stable[(i + 3) % 8]))
-        legacy = SpurMachine(tiny_config(), space_map)
-        legacy.run(trace)
-
-        space_map2, _ = simple_space()
-        chunked = SpurMachine(tiny_config(), space_map2)
-        assert chunked._use_numpy, "columns path should be active"
         chunked.run_chunks(chunk_accesses(iter(trace), 512))
         assert machine_state(chunked) == machine_state(legacy)
 

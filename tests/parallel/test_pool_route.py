@@ -7,15 +7,15 @@ Every call with a campaign feature — here ``workers=2`` — runs through
 over :meth:`~repro.machine.runner.ExperimentRunner.run` — same
 counters, cycles, page traffic and cached-result keys — across the
 full dirty x reference policy grid, poll schedules, trimmed streams,
-observation and sanitizer modes, and with numpy absent.
+observation and sanitizer modes.  The chunked machine under it
+matches the spec tuple loop per dirty policy.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
-import repro.cache.columns as columns_module
-import repro.machine.simulator as simulator_module
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
@@ -65,8 +65,8 @@ def assert_results_identical(serial, pooled):
         assert a.events == b.events
         assert a.page_ins == b.page_ins
         assert a.page_outs == b.page_outs
-        # The dataclass as a whole (host_seconds, scalar_bailouts,
-        # and observation are excluded from equality by design).
+        # The dataclass as a whole (host-side fields and the
+        # observation are excluded from equality by design).
         assert a == b
 
 
@@ -117,7 +117,7 @@ class TestPoolBitEquivalence:
         assert_results_identical(*serial_and_pooled(specs))
 
 
-# -- pure-Python fallback ----------------------------------------------
+# -- chunked machine vs the spec loop ----------------------------------
 
 
 def _trim(chunks, max_refs):
@@ -140,6 +140,15 @@ def chunked_machine(config, seed, max_refs=MAX_REFS):
     return machine
 
 
+def spec_machine(config, seed, max_refs=MAX_REFS):
+    instance = Workload1(length_scale=TINY).instantiate(
+        config.page_bytes, seed=seed
+    )
+    machine = SpurMachine(config, instance.space_map)
+    machine.run(itertools.islice(instance.accesses(), max_refs))
+    return machine
+
+
 def assert_machines_identical(machine, other):
     assert machine.references == other.references
     assert machine.cycles == other.cycles
@@ -152,34 +161,20 @@ def assert_machines_identical(machine, other):
     assert machine.cache.state == other.cache.state
 
 
-@pytest.fixture
-def without_numpy(monkeypatch):
-    """Hide numpy from the column store and the chunked classifier."""
-
-    def hide():
-        monkeypatch.setattr(columns_module, "_np", None)
-        monkeypatch.setattr(simulator_module, "_np", None)
-
-    return hide
-
-
-class TestNumpyFallback:
+class TestChunkedMatchesSpec:
     @pytest.mark.parametrize("dirty", DIRTY_POLICY_NAMES)
-    def test_pure_python_columns_match_vectorized(self, dirty,
-                                                  without_numpy):
+    def test_run_chunks_matches_spec_run(self, dirty):
         config = tiny_config(dirty_policy=dirty, daemon_poll_refs=777)
-        vectorized = chunked_machine(config, seed=2)
-        without_numpy()
-        fallback = chunked_machine(config, seed=2)
-        assert fallback.cache.columns.views is None
-        assert_machines_identical(fallback, vectorized)
+        assert_machines_identical(
+            chunked_machine(config, seed=2), spec_machine(config, seed=2)
+        )
 
-    def test_serial_service_route_without_numpy(self, without_numpy):
-        """A serial campaign through the service runs without numpy."""
+    def test_traced_serial_route_matches_plain(self):
+        """A traced serial campaign through the service matches the
+        untraced one."""
         specs = policy_grid_specs(max_refs=1500)[:4]
         runner = ExperimentRunner()
         expected = runner.run_many(specs, options=RunOptions())
-        without_numpy()
         sink = MemorySink()
         got = runner.run_many(
             specs, options=RunOptions(trace_sink=sink),
