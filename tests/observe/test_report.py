@@ -154,6 +154,44 @@ class TestRenderReport:
             assert needle in text
 
 
+class TestRunFinishedFromRealRun:
+    """A real run's ``run_finished`` event, summary and report carry
+    only the single-path chunked loop's fields."""
+
+    def run_result(self):
+        from repro.machine.config import scaled_config
+        from repro.machine.runner import ExperimentRunner
+        from repro.workloads.workload1 import Workload1
+
+        return ExperimentRunner().run(
+            scaled_config(memory_ratio=40),
+            Workload1(length_scale=0.01), max_references=1000,
+        )
+
+    def test_event_summary_and_report(self):
+        from repro.observe.sinks import MemorySink, emit_run
+
+        result = self.run_result()
+        sink = MemorySink()
+        emit_run(sink, result)
+        finished = sink.of_type("run_finished")
+        assert len(finished) == 1
+        assert finished[0]["references"] == result.references
+        assert finished[0]["cycles"] == result.cycles
+        assert "scalar_bailouts" not in finished[0]
+        summary = summarize_trace(sink.events)
+        assert summary.references == result.references
+        assert "scalar_bailouts" not in summary.to_json_dict()
+        assert "chunk.scalar-bailout" not in render_report(summary)
+
+    def test_scalar_bailouts_is_zero_and_compare_excluded(self):
+        import dataclasses
+
+        result = self.run_result()
+        assert result.scalar_bailouts == 0
+        assert dataclasses.replace(result, scalar_bailouts=5) == result
+
+
 class TestCliReport:
     def test_report_with_exports(self, tmp_path, capsys):
         from repro.cli import main

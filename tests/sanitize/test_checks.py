@@ -153,6 +153,19 @@ class TestColumnStoreAgreement:
         machine = simulated_machine()
         check_column_store(machine.cache)  # no raise
 
+    def test_simulated_machine_rebound_alias_raises(self):
+        # After a real chunked run, a cache attribute rebound to a
+        # private copy no longer aliases the store column it names.
+        from array import array
+
+        machine = simulated_machine()
+        machine.cache.tags = array("q", machine.cache.columns.tags)
+        violation = expect_violation(
+            "cache.column-store-agreement",
+            check_column_store, machine.cache,
+        )
+        assert "tags" in str(violation)
+
 
 def simulated_machine():
     """A machine after a short chunked run over WORKLOAD1."""
