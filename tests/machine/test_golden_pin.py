@@ -4,9 +4,14 @@ The equivalence tests compare the tuple path with the chunked path,
 so a change that moves both alike (a VM, policy, translation or cache
 change) passes them.  This pin holds a digest of the counter bank,
 cycles, VM and swap totals for every cell of a small fault-heavy
-policy grid at a fixed seed, and checks both paths against it.  A
-deliberate semantic change must re-record the digests and bump
-``repro.parallel.cache.CACHE_FORMAT``.
+policy grid at a fixed seed, and checks both paths against it.
+
+A second pin holds the result digests of a small WORKLOAD1/SLC
+reference-policy grid run through ``ExperimentRunner.run_many`` on
+each of its routes (plain serial, the campaign service, a process
+pool), and ties the grid's combined digest to
+``repro.parallel.cache.CACHE_FORMAT``.  A deliberate semantic change
+must re-record the digests and bump ``CACHE_FORMAT``.
 """
 
 import hashlib
@@ -14,8 +19,14 @@ import json
 
 import pytest
 
+from repro.machine.config import scaled_config
+from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
+from repro.options import RunOptions
+from repro.parallel.cache import CACHE_FORMAT, result_to_payload
 from repro.workloads.base import chunk_accesses
+from repro.workloads.slc import SlcWorkload
+from repro.workloads.workload1 import Workload1
 
 from tests.conftest import fault_heavy_trace, simple_space, tiny_config
 
@@ -93,3 +104,110 @@ def test_fault_heavy_grid_matches_golden(cell, chunked):
     machine = run_cell(*cell, chunked=chunked)
     assert machine.vm.stats.page_faults > 0
     assert machine_digest(machine) == GOLDEN[cell]
+
+
+# -- runner-level pin --------------------------------------------------
+
+GRID_LENGTH = 0.005
+GRID_CAP = 10_000
+GRID_SEED = 0
+GRID_RECIPES = {"WORKLOAD1": Workload1, "SLC": SlcWorkload}
+GRID_RATIOS = (8, 16)
+GRID_POLICIES = ("MISS", "REF", "NOREF")
+
+#: Result digest per ``(workload, memory_ratio, reference_policy)``
+#: cell, SPUR dirty bits.  Each workload's trace repeats across its six
+#: cells, and the smaller memory pages out under every policy.
+RUNNER_GOLDEN = {
+    ("WORKLOAD1", 8, "MISS"): "5e5f1105c75769d4",
+    ("WORKLOAD1", 8, "REF"): "78c07212eda94cd7",
+    ("WORKLOAD1", 8, "NOREF"): "75f01ac32270353d",
+    ("WORKLOAD1", 16, "MISS"): "ae97427c120acdad",
+    ("WORKLOAD1", 16, "REF"): "af98da66cd3bd577",
+    ("WORKLOAD1", 16, "NOREF"): "9861f72e6fa800b6",
+    ("SLC", 8, "MISS"): "29cd91bba48ca202",
+    ("SLC", 8, "REF"): "b92864b5971b28c5",
+    ("SLC", 8, "NOREF"): "b128fd7876a7adf1",
+    ("SLC", 16, "MISS"): "36956e90c57abd83",
+    ("SLC", 16, "REF"): "20fe7833974af57a",
+    ("SLC", 16, "NOREF"): "ea86c50758304237",
+}
+
+#: The grid's combined digest under each ``CACHE_FORMAT``.  Entries
+#: are history: a change that moves the digest adds a new entry under
+#: a bumped format and never edits an old one, so warm caches and
+#: journals cannot serve results computed under other semantics.
+GRID_DIGEST_BY_FORMAT = {
+    1: "028622b0d893a5f1",
+}
+
+
+def grid_cells():
+    return [
+        (name, ratio, policy)
+        for name in GRID_RECIPES
+        for ratio in GRID_RATIOS
+        for policy in GRID_POLICIES
+    ]
+
+
+def grid_specs():
+    return [
+        (scaled_config(memory_ratio=ratio, dirty_policy="SPUR",
+                       reference_policy=policy),
+         GRID_RECIPES[name](length_scale=GRID_LENGTH),
+         GRID_SEED, GRID_CAP)
+        for name, ratio, policy in grid_cells()
+    ]
+
+
+def result_digest(result):
+    """16-hex-digit digest of everything a result measured."""
+    payload = result_to_payload(result)
+    del payload["format"]
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
+
+
+def combined_digest(digests):
+    joined = ",".join(digests).encode("utf-8")
+    return hashlib.sha256(joined).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def grid_digests(tmp_path_factory):
+    """Route name -> per-cell digests, each route run at most once."""
+    routes = {
+        "serial": lambda: RunOptions(),
+        "service": lambda: RunOptions(
+            cache_dir=str(tmp_path_factory.mktemp("grid-cache"))
+        ),
+        "pool": lambda: RunOptions(workers=2),
+    }
+    seen = {}
+
+    def digests(route):
+        if route not in seen:
+            runner = ExperimentRunner(options=routes[route]())
+            seen[route] = [
+                result_digest(result)
+                for result in runner.run_many(grid_specs())
+            ]
+        return seen[route]
+
+    return digests
+
+
+@pytest.mark.parametrize("route", ["serial", "service", "pool"])
+def test_runner_grid_matches_golden(grid_digests, route):
+    assert dict(zip(grid_cells(), grid_digests(route))) == RUNNER_GOLDEN
+
+
+def test_grid_digest_is_tied_to_cache_format(grid_digests):
+    digest = combined_digest(grid_digests("serial"))
+    assert GRID_DIGEST_BY_FORMAT.get(CACHE_FORMAT) == digest, (
+        f"the grid digest is {digest}, but CACHE_FORMAT "
+        f"{CACHE_FORMAT} records "
+        f"{GRID_DIGEST_BY_FORMAT.get(CACHE_FORMAT)}: a semantic "
+        f"change must bump CACHE_FORMAT and add its digest here"
+    )
