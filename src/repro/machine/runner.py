@@ -2,9 +2,14 @@
 
 :class:`ExperimentRunner` reproduces the paper's measurement
 discipline: each data point is a fresh machine (cold cache, empty
-memory) driven by a freshly instantiated workload; repetitions use
-distinct seeds; multi-point experiments can be order-randomised the
-way Section 4.2's five-repetition design was.
+memory) driven by the workload's reference stream from its first
+draw; repetitions use distinct seeds; multi-point experiments can be
+order-randomised the way Section 4.2's five-repetition design was.
+A serial batch generates each distinct stream once and replays it
+into every later cell that shares it
+(:mod:`repro.machine.traceshare`), so a replayed cell's
+``host_seconds`` excludes generation; pool workers do not share
+traces and generate per cell.
 
 Because every run is a pure function of (config, workload recipe,
 seed, reference cap), the multi-run entry points accept ``workers=N``
@@ -166,7 +171,7 @@ class ExperimentRunner:
         return options
 
     def run(self, config, workload, seed=0, max_references=None,
-            label=None, options=None):
+            label=None, options=None, traces=None):
         """One cold-start run; returns a :class:`RunResult`.
 
         Parameters
@@ -186,10 +191,29 @@ class ExperimentRunner:
         options:
             Per-call :class:`~repro.options.RunOptions` overriding the
             runner's own for this run only.
+        traces:
+            Optional :class:`~repro.machine.traceshare.TraceShare` of
+            the serial batch this run belongs to; a chunked run then
+            replays its trace when an earlier cell of the batch
+            recorded it.
         """
         options = self._call_options(options)
-        instance = workload.instantiate(config.page_bytes, seed=seed)
-        machine = SpurMachine(config, instance.space_map)
+        if options.chunk_refs:
+            trace = (workload, config.page_bytes, seed,
+                     options.chunk_refs, max_references)
+            if traces is None:
+                name, space_map, chunks = _generate_chunks(*trace)
+            else:
+                name, space_map, chunks = traces.open(
+                    _generate_chunks, *trace
+                )
+        else:
+            instance = workload.instantiate(config.page_bytes, seed=seed)
+            name, space_map = instance.name, instance.space_map
+            accesses = instance.accesses()
+            if max_references is not None:
+                accesses = _take(accesses, max_references)
+        machine = SpurMachine(config, space_map)
         sanitizer = None
         if options.sanitize:
             from repro.sanitize.sanitizer import Sanitizer
@@ -206,17 +230,10 @@ class ExperimentRunner:
                 epoch_refs=options.epoch_refs, label=label
             )
             observer.attach(machine)
+        started = time.perf_counter()
         if options.chunk_refs:
-            chunks = instance.access_chunks(options.chunk_refs)
-            if max_references is not None:
-                chunks = _take_chunks(chunks, max_references)
-            started = time.perf_counter()
             machine.run_chunks(chunks)
         else:
-            accesses = instance.accesses()
-            if max_references is not None:
-                accesses = _take(accesses, max_references)
-            started = time.perf_counter()
             machine.run(accesses)
         host_seconds = time.perf_counter() - started
         if sanitizer is not None:
@@ -232,7 +249,7 @@ class ExperimentRunner:
             )
             observation = observer.finish()
         result = RunResult(
-            workload=instance.name,
+            workload=name,
             config_name=config.name,
             memory_bytes=config.memory_bytes,
             dirty_policy=machine.dirty_policy.name,
@@ -264,8 +281,9 @@ class ExperimentRunner:
 
         * without campaign features (one worker, no cache, sink,
           progress, journal, driver or retries) it is exactly a loop
-          over :meth:`run`, and a failing spec raises its exception
-          unwrapped;
+          over :meth:`run` sharing one
+          :class:`~repro.machine.traceshare.TraceShare`, and a failing
+          spec raises its exception unwrapped;
         * every other call goes through the
           :class:`~repro.campaignd.service.CampaignService`, which
           resolves specs against the cache and journal, simulates the
@@ -298,10 +316,17 @@ class ExperimentRunner:
             and not options.retries
         )
         if plain_serial:
+            from repro.machine.traceshare import TraceShare, trace_key
+
+            traces = TraceShare.plan(
+                trace_key(workload, config.page_bytes, seed,
+                          options.chunk_refs, max_references)
+                for config, workload, seed, max_references in specs
+            )
             return [
                 self.run(config, workload, seed=seed,
                          max_references=max_references,
-                         label=label, options=options)
+                         label=label, options=options, traces=traces)
                 for (config, workload, seed, max_references), label
                 in zip(specs, labels)
             ]
@@ -433,6 +458,16 @@ def _take(iterator, count):
         if index >= count:
             break
         yield item
+
+
+def _generate_chunks(workload, page_bytes, seed, chunk_refs,
+                     max_references):
+    """Instantiate *workload*: its name, space map and capped chunks."""
+    instance = workload.instantiate(page_bytes, seed=seed)
+    chunks = instance.access_chunks(chunk_refs)
+    if max_references is not None:
+        chunks = _take_chunks(chunks, max_references)
+    return instance.name, instance.space_map, chunks
 
 
 def _take_chunks(chunks, count):

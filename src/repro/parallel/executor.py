@@ -108,12 +108,15 @@ class CampaignError(ReproError):
         )
 
 
-def simulate_cell(cell):
-    """Run one cell from scratch; the process-pool work function.
+def simulate_cell(cell, traces=None):
+    """Run one cell on a fresh machine; the process-pool work function.
 
     Module-level (picklable) and self-contained: workers rebuild the
     machine and workload instance from the cell's recipe, so nothing
-    leaks between cells regardless of which process runs them.
+    leaks between cells regardless of which process runs them.  A
+    serial batch may pass its
+    :class:`~repro.machine.traceshare.TraceShare` as ``traces`` to
+    replay a trace an earlier cell recorded; pool workers never do.
     """
     from repro.machine.runner import ExperimentRunner
     from repro.options import RunOptions
@@ -127,6 +130,7 @@ def simulate_cell(cell):
     return runner.run(
         cell.config, cell.workload, seed=cell.seed,
         max_references=cell.max_references, label=cell.label,
+        traces=traces,
     )
 
 

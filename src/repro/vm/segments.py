@@ -16,6 +16,7 @@ zero-fill? — which drive protection, dirty-bit, and swap behaviour.
 import bisect
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from repro.common.errors import AddressError, ConfigurationError
@@ -53,7 +54,13 @@ class RegionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Region:
-    """A contiguous run of pages with uniform attributes."""
+    """A contiguous run of pages with uniform attributes.
+
+    ``writable`` and ``page_kind`` are read on every miss and fault, so
+    each is computed from ``kind`` once and then served as a plain
+    instance attribute; being cached properties rather than fields,
+    they stay out of equality, hashing and the repr.
+    """
 
     name: str
     kind: RegionKind
@@ -66,11 +73,11 @@ class Region:
         """Exclusive upper bound address."""
         return self.start + self.size
 
-    @property
+    @cached_property
     def writable(self):
         return self.kind.writable
 
-    @property
+    @cached_property
     def page_kind(self):
         return self.kind.page_kind
 

@@ -3,8 +3,12 @@
 A :class:`Workload` is a recipe; :meth:`Workload.instantiate` binds it
 to a page size and seed, producing a :class:`WorkloadInstance` whose
 reference stream the machine consumes.  Instances are one-shot
-(generators are consumed); re-instantiate for each run, which is also
-how repetitions get fresh-but-reproducible randomness.
+(generators are consumed), so no two runs consume one instance.  A
+run instantiates its recipe itself, except inside a serial batch,
+where cells with the same trace replay the chunks the first of them
+recorded (:mod:`repro.machine.traceshare`); process-pool workers
+never share traces.  Distinct seeds are how repetitions get
+fresh-but-reproducible randomness.
 
 Two stream protocols share one instance:
 
@@ -15,7 +19,9 @@ Two stream protocols share one instance:
     The batched protocol: an iterator of flat ``array('q')`` buffers
     holding interleaved ``kind0, vaddr0, kind1, vaddr1, ...`` pairs.
     Every chunk carries exactly ``chunk_refs`` references except the
-    last, which may be short.  The chunked hot loop in
+    last, which may be short, and is a fresh buffer the generator
+    never touches again, so a recording may keep it.  The chunked
+    hot loop in
     :meth:`repro.machine.simulator.SpurMachine.run_chunks` consumes
     these directly, amortising the per-reference interpreter overhead
     that dominates the tuple path.
