@@ -38,6 +38,18 @@ class TestRegion:
         assert region.contains(0x11FF)
         assert not region.contains(0x1200)
 
+    @pytest.mark.parametrize("kind", list(RegionKind))
+    def test_attributes_follow_kind_outside_equality_and_repr(self, kind):
+        read = Region("r", kind, 0x1000, 0x200)
+        unread = Region("r", kind, 0x1000, 0x200)
+        assert read.writable is kind.writable
+        assert read.page_kind is kind.page_kind
+        assert read == unread and hash(read) == hash(unread)
+        assert repr(read) == repr(unread) == (
+            f"Region(name='r', kind={kind!r}, start=4096, size=512, "
+            f"pid=0)"
+        )
+
 
 class TestAddressSpaceMap:
     def test_lookup_finds_containing_region(self):
