@@ -12,6 +12,11 @@ each of its routes (plain serial, the campaign service, a process
 pool), and ties the grid's combined digest to
 ``repro.parallel.cache.CACHE_FORMAT``.  A deliberate semantic change
 must re-record the digests and bump ``CACHE_FORMAT``.
+
+Two more pins cover what those grids do not: the six Table 3.5
+dev-system cells the benchmark's campaign grid runs (their combined
+digest also tied to ``CACHE_FORMAT``), and one fault-heavy 2-CPU cell
+per dirty policy, the only absolute pin on a shared bus.
 """
 
 import hashlib
@@ -19,11 +24,14 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import DEV_SYSTEM_PROFILES, run_table_3_5
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
+from repro.machine.smp import SmpSystem
 from repro.options import RunOptions
 from repro.parallel.cache import CACHE_FORMAT, result_to_payload
+from repro.policies.costs import DIRTY_POLICY_NAMES
 from repro.workloads.base import chunk_accesses
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
@@ -211,3 +219,119 @@ def test_grid_digest_is_tied_to_cache_format(grid_digests):
         f"{GRID_DIGEST_BY_FORMAT.get(CACHE_FORMAT)}: a semantic "
         f"change must bump CACHE_FORMAT and add its digest here"
     )
+
+
+# -- Table 3.5 dev-system pin --------------------------------------------
+
+DEV_LENGTH = 0.03
+DEV_SEED = 0
+
+#: ``(host, result digest)`` per dev-system cell, in profile order:
+#: the six SPUR/MISS cells of ``run_table_3_5`` at the length and seed
+#: the benchmark's campaign grid runs them.  ``mace`` appears twice,
+#: once per uptime.
+DEV_SYSTEM_GOLDEN = [
+    ("mace", "a2e6f4dd80ea32d3"),
+    ("sloth", "5eaca9869e21ef25"),
+    ("mace", "2e668813d223d6c0"),
+    ("sage", "e077826bc10a84b1"),
+    ("fenugreek", "3c30342b1eb95026"),
+    ("murder", "ac1c93d1a6283415"),
+]
+
+#: The dev-system cells' combined digest under each ``CACHE_FORMAT``;
+#: history, like ``GRID_DIGEST_BY_FORMAT``.
+DEV_SYSTEM_DIGEST_BY_FORMAT = {
+    1: "1d5d67bcc8e3d02f",
+}
+
+
+class RecordingRunner(ExperimentRunner):
+    """A runner that keeps every result its ``run_many`` returns."""
+
+    def run_many(self, specs, *args, **kwargs):
+        results = super().run_many(specs, *args, **kwargs)
+        self.results = list(results)
+        return results
+
+
+@pytest.fixture(scope="module")
+def dev_system_digests():
+    runner = RecordingRunner()
+    run_table_3_5(length_scale=DEV_LENGTH, seed=DEV_SEED, runner=runner)
+    return [
+        (profile.hostname, result_digest(result))
+        for profile, result in zip(DEV_SYSTEM_PROFILES, runner.results)
+    ]
+
+
+def test_dev_system_cells_match_golden(dev_system_digests):
+    assert dev_system_digests == DEV_SYSTEM_GOLDEN
+
+
+def test_dev_system_digest_is_tied_to_cache_format(dev_system_digests):
+    digest = combined_digest([digest for _, digest in dev_system_digests])
+    assert DEV_SYSTEM_DIGEST_BY_FORMAT.get(CACHE_FORMAT) == digest
+
+
+# -- shared-bus pin ------------------------------------------------------
+
+SMP_REFS = 2500
+SMP_QUANTUM = 256
+SMP_POLICIES = DIRTY_POLICY_NAMES + ("PROTMISS",)
+
+#: Digest per dirty policy of a 2-CPU fault-heavy run: both processors
+#: walk the same heap, so snoops, ownership transfers and cross-cache
+#: page flushes all happen on the shared bus.
+SMP_GOLDEN = {
+    "MIN": "d55685f39e7820cf",
+    "FAULT": "ea57504e40f5edfe",
+    "FLUSH": "10e640277e85c3a3",
+    "SPUR": "3f7cfc15221795f8",
+    "WRITE": "973ccd618c01f691",
+    "PROTMISS": "3f7cfc15221795f8",
+}
+
+
+def run_smp_cell(dirty, chunked):
+    space_map, regions = simple_space(heap_pages=64)
+    system = SmpSystem(
+        tiny_config(memory_bytes=4 * 1024, daemon_poll_refs=500,
+                    dirty_policy=dirty, reference_policy="MISS"),
+        space_map, num_cpus=2,
+    )
+    streams = [fault_heavy_trace(regions, SMP_REFS, seed=seed)
+               for seed in (SEED, SEED + 1)]
+    if chunked:
+        system.run_interleaved_chunks(
+            [chunk_accesses(iter(stream), SMP_QUANTUM)
+             for stream in streams],
+            quantum=SMP_QUANTUM,
+        )
+    else:
+        system.run_interleaved(streams, quantum=SMP_QUANTUM)
+    return system
+
+
+def smp_digest(system):
+    """16-hex-digit digest of everything a 2-CPU run measured."""
+    bus = system.bus
+    record = {
+        "digests": [machine_digest(cpu) for cpu in system.cpus],
+        "bus": [bus.transactions, bus.snoop_hits,
+                bus.ownership_transfers, bus.invalidations],
+        "caches": [sorted(cpu.cache.stats.items())
+                   for cpu in system.cpus],
+    }
+    encoded = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("chunked", [False, True],
+                         ids=["run_interleaved", "run_interleaved_chunks"])
+@pytest.mark.parametrize("dirty", SMP_POLICIES)
+def test_smp_fault_heavy_cells_match_golden(dirty, chunked):
+    system = run_smp_cell(dirty, chunked)
+    assert system.vm.stats.page_faults > 0
+    assert system.bus.snoop_hits > 0
+    assert smp_digest(system) == SMP_GOLDEN[dirty]
