@@ -9,10 +9,11 @@ The tag word carries the virtual-address tag plus:
   cached — ordinary write-back state),
 * ``CS`` — two bits of Berkeley Ownership coherency state.
 
-The hot simulation path keeps these fields in parallel arrays inside
-:class:`repro.cache.cache.VirtualCache`; :class:`CacheLineView` is the
-readable per-line facade used by tests, examples, and the Figure 3.2
-renderer.
+The hot simulation path keeps these fields in parallel columns inside
+:class:`repro.cache.cache.VirtualCache`, where ``V`` and ``TAG`` are
+both derived from the resident block number (see
+:mod:`repro.cache.columns`); :class:`CacheLineView` is the readable
+per-line facade used by tests, examples, and the Figure 3.2 renderer.
 """
 
 from typing import NamedTuple

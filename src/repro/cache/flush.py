@@ -47,17 +47,15 @@ class TagCheckedFlush:
 
     def flush_page(self, cache, page_vaddr, page_bytes):
         """Remove every block of the page from ``cache``."""
-        limit = page_vaddr + page_bytes
+        first, limit = cache.page_block_range(page_vaddr, page_bytes)
+        line_block = cache.line_block
         cycles = 0
         flushed = 0
         write_backs = 0
         frames = cache.page_line_range(page_vaddr, page_bytes)
         for index in frames:
             cycles += self.loop_cycles
-            if (
-                cache.valid[index]
-                and page_vaddr <= cache.line_vaddr[index] < limit
-            ):
+            if first <= line_block[index] < limit:
                 if cache.block_dirty[index]:
                     cycles += self.flush_cycles
                     write_backs += 1
@@ -97,7 +95,8 @@ class TaglessFlush:
 
     def flush_page(self, cache, page_vaddr, page_bytes):
         """Vacate all frames in the page's index range."""
-        limit = page_vaddr + page_bytes
+        first, limit = cache.page_block_range(page_vaddr, page_bytes)
+        line_block = cache.line_block
         cycles = 0
         flushed = 0
         foreign = 0
@@ -105,9 +104,10 @@ class TaglessFlush:
         frames = cache.page_line_range(page_vaddr, page_bytes)
         for index in frames:
             cycles += self.op_cycles
-            if not cache.valid[index]:
+            block = line_block[index]
+            if block < 0:
                 continue
-            in_page = page_vaddr <= cache.line_vaddr[index] < limit
+            in_page = first <= block < limit
             if cache.block_dirty[index]:
                 write_backs += 1
                 cycles += cache.block_transfer_cycles

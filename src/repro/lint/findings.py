@@ -49,15 +49,11 @@ class LintConfig:
     #: The cache's parallel tag arrays (R002); writes to
     #: ``<obj>.<field>[...]`` outside the sanctioned modules flag.
     tag_arrays: frozenset = frozenset({
-        "valid",
-        "tags",
-        "line_vaddr",
         "line_block",
         "prot",
         "page_dirty",
         "block_dirty",
         "state",
-        "filled_by_read",
         "holds_pte",
     })
 

@@ -5,7 +5,7 @@ Two loops process references.  :meth:`SpurMachine.run` consumes
 statement of the cache/translation/fault semantics, which every faster
 path must match bit for bit.  :meth:`SpurMachine.run_chunks` is the
 hot path every experiment uses: it consumes flat reference chunks,
-reads the cache's flat tag columns directly (they are public for
+reads the cache's tag columns directly (they are public for
 exactly this purpose), keeps its bookkeeping in local variables and a
 deferred tally, and falls into method calls only on the rare paths:
 misses, write hits needing dirty-bit work, faults.
@@ -21,7 +21,6 @@ Cycle model (Table 2.1, Section 3.2):
 """
 
 import sys
-from array import array
 
 from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
@@ -32,8 +31,7 @@ from repro.cache.bus import SnoopyBus
 from repro.cache.cache import (
     TALLY_BUS,
     TALLY_CACHE_SLOTS,
-    TALLY_EVICTIONS,
-    TALLY_FILLS,
+    TALLY_COLD_FILLS,
     TALLY_WRITE_BACKS,
     VirtualCache,
 )
@@ -45,7 +43,7 @@ from repro.policies.reference import make_reference_policy
 from repro.translation.incache import InCacheTranslator
 from repro.translation.pagetable import PTE_BYTES, PageTable, PageTableLayout
 from repro.vm.swap import SwapDevice
-from repro.vm.system import VirtualMemorySystem
+from repro.vm.system import VirtualMemorySystem, VmPage
 
 _WRITE = int(AccessKind.WRITE)
 _RW = int(Protection.READ_WRITE)
@@ -62,35 +60,28 @@ _BUS_FOR_OWNERSHIP = BusOp.WRITE_FOR_OWNERSHIP
 # accumulates one counter event; ``_flush_tally`` applies them in one
 # ``increment(event, n)`` per event, which is exact because counter
 # arithmetic is modular addition and nothing samples the counter bank
-# mid-call.
-# Events that are 1:1 with a tallied slot on the fast path are derived
-# at flush time instead of paying a per-reference tally op: TRANSLATION
-# and BLOCK_FILL equal the kind-miss sum, SECOND_LEVEL_LOOKUP equals
-# the PTE-miss count, and WRITE_MISS_FILL equals the write-miss count
-# (the fast path commits only after the writability checks).
-_T_PTE_HIT = TALLY_CACHE_SLOTS
-_T_PTE_MISS = TALLY_CACHE_SLOTS + 1
-_T_SECOND_HIT = TALLY_CACHE_SLOTS + 2
-_T_SECOND_MEMORY = TALLY_CACHE_SLOTS + 3
-_T_IFETCH_MISS = TALLY_CACHE_SLOTS + 4
-_T_READ_MISS = TALLY_CACHE_SLOTS + 5
-_T_WRITE_MISS = TALLY_CACHE_SLOTS + 6
-_T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 7
-_T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 8
-_TALLY_SLOTS = TALLY_CACHE_SLOTS + 9
-_TALLY_ZEROS = (0,) * _TALLY_SLOTS
-
-_TALLY_EVENTS = (
-    (_T_PTE_HIT, Event.PTE_CACHE_HIT),
-    (_T_PTE_MISS, Event.PTE_CACHE_MISS),
-    (_T_SECOND_HIT, Event.SECOND_LEVEL_CACHE_HIT),
-    (_T_SECOND_MEMORY, Event.SECOND_LEVEL_MEMORY_ACCESS),
-    (_T_IFETCH_MISS, Event.IFETCH_MISS),
-    (_T_READ_MISS, Event.READ_MISS),
-    (_T_WRITE_MISS, Event.WRITE_MISS),
-    (_T_WRITE_HIT_CLEAN, Event.WRITE_HIT_CLEAN_BLOCK),
-    (_T_WRITE_READ_FILLED, Event.WRITE_TO_READ_FILLED_BLOCK),
-)
+# mid-call.  The three kind-miss slots are consecutive, in kind order,
+# so a miss tallies ``_T_MISSES + kind``.
+#
+# Everything else is derived at flush time instead of paying a tally op
+# per event.  Every miss translates, fills its data block and looks the
+# PTE up in the cache (TRANSLATION = BLOCK_FILL = misses, PTE hits =
+# misses - PTE misses); every PTE miss makes one second-level lookup
+# that either hits or fetches from memory (SECOND_LEVEL_LOOKUP = PTE
+# misses, second-level hits = PTE misses - memory fetches); the fast
+# path commits a write miss only after the writability checks
+# (WRITE_MISS_FILL = write misses); cache fills are data fills + PTE
+# fills + second-level fills; and a clean block hit by a write is
+# always one that a read filled (WRITE_TO_READ_FILLED_BLOCK =
+# WRITE_HIT_CLEAN_BLOCK; see repro.cache.columns).
+_T_MISSES = TALLY_CACHE_SLOTS
+_T_IFETCH_MISS = _T_MISSES + 0
+_T_READ_MISS = _T_MISSES + 1
+_T_WRITE_MISS = _T_MISSES + 2
+_T_PTE_MISS = TALLY_CACHE_SLOTS + 3
+_T_SECOND_MEMORY = TALLY_CACHE_SLOTS + 4
+_T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 5
+_TALLY_SLOTS = TALLY_CACHE_SLOTS + 6
 
 # Byte patterns for C-speed kind tallies over a flat chunk's kind
 # slice (``array('q')``, so 8 bytes per element, native byte order).
@@ -191,6 +182,17 @@ class SpurMachine:
         self.reference_policy = make_reference_policy(
             config.reference_policy
         )
+        # The batched resolver's per-policy miss work, bound once (see
+        # the contracts on DirtyBitPolicy): the install's page-dirty
+        # copy is set outright unless it tracks the PTE, and a set
+        # dirty bit (or, where the policy says so, a set software
+        # dirty bit) makes ``on_write_miss`` a no-op to skip.
+        self._install_page_dirty = (
+            not self.dirty_policy.cached_dirty_tracks_pte
+        )
+        self._write_miss_software_settles = (
+            self.dirty_policy.write_miss_settled_by_software_dirty
+        )
 
         self.cycles = 0
         self.references = 0
@@ -207,7 +209,10 @@ class SpurMachine:
         self._pte_base = layout.pte_base
         self._second_level_base = layout.second_level_base
         self._pte_peek = self.page_table.peek
+        self._page_records = self.vm.pages
         self._page_peek = self.vm.pages.get
+        self._region_of = self.vm.space_map.region_of
+        self._vm_page_bytes = self.vm.page_bytes
         self._pte_check_cycles = self.translator.timing.pte_check_cycles
         self._second_check_cycles = (
             self.translator.timing.second_level_check_cycles
@@ -255,14 +260,12 @@ class SpurMachine:
         number of references processed.
         """
         cache = self.cache
-        valid = cache.valid
-        tags = cache.tags
+        line_block = cache.line_block
         block_dirty = cache.block_dirty
         page_dirty = cache.page_dirty
         prot = cache.prot
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        tag_shift = cache.tag_shift
         slow_write_hit = self._slow_write_hit
         miss = self._miss
 
@@ -285,8 +288,9 @@ class SpurMachine:
                 cycles += poll()
                 until_poll = interval
             kind_counts[kind] += 1
-            index = (vaddr >> block_bits) & index_mask
-            if valid[index] and tags[index] == (vaddr >> tag_shift):
+            block = vaddr >> block_bits
+            index = block & index_mask
+            if line_block[index] == block:
                 if kind != _WRITE:
                     cycles += 1
                     continue
@@ -323,7 +327,7 @@ class SpurMachine:
         poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
         :meth:`_run_refs`, a single-compare per-reference loop against
-        the cache's flat columns.  Kind tallies come from byte-pattern
+        the cache's tag columns.  Kind tallies come from byte-pattern
         counts over the chunk's kind slice (memchr speed, no
         per-element boxing), the per-reference cycle charge is folded
         into one addition per call, and miss-path bookkeeping is
@@ -333,7 +337,7 @@ class SpurMachine:
         run_refs = self._run_refs
         interval = self.config.daemon_poll_refs
         poll = self.vm.daemon.poll if interval else None
-        tally = array("q", _TALLY_ZEROS)
+        tally = [0] * _TALLY_SLOTS
 
         cycles = 0
         extra = 0
@@ -465,18 +469,27 @@ class SpurMachine:
         touches included), reference-bit faults and write misses
         needing dirty-bit work run here, with the VM and policy hooks
         called live in :meth:`_miss`'s order — page fault, reference
-        check, dirty-bit work, then the install with
-        :meth:`~repro.policies.dirty.DirtyBitPolicy.fill_page_dirty` —
-        so a daemon run or a FLUSH page flush mutates the columns
-        before the data block lands, exactly as on the legacy path.
-        Only the two :class:`~repro.common.errors.ProtectionFault`
-        cases (an unmapped address, a write to a read-only region)
-        delegate to :meth:`_miss`, and they are detected *before* any
-        state or tally slot is touched, so the derived counters and
-        the counter state at the raise stay exact.
-        :meth:`_miss`, :meth:`~repro.translation.incache.
-        InCacheTranslator.translate` and :meth:`~repro.cache.cache.
-        VirtualCache.fill` otherwise serve only the spec :meth:`run`.
+        check, dirty-bit work, then the install — so a daemon run or a
+        FLUSH page flush mutates the columns before the data block
+        lands, exactly as on the legacy path.  Only the two
+        :class:`~repro.common.errors.ProtectionFault` cases (an
+        unmapped address, a write to a read-only region) delegate to
+        :meth:`_miss`, and they are detected *before* any state or
+        tally slot is touched, so the derived counters and the counter
+        state at the raise stay exact.  :meth:`_miss`,
+        :meth:`~repro.translation.incache.InCacheTranslator.translate`
+        and :meth:`~repro.cache.cache.VirtualCache.fill` otherwise
+        serve only the spec :meth:`run`.
+
+        The per-policy work is bound when the machine is built: the
+        install's page-dirty copy (set under WRITE, the PTE's modified
+        state otherwise, as :meth:`~repro.policies.dirty.
+        DirtyBitPolicy.fill_page_dirty` returns) and the test under
+        which :meth:`~repro.policies.dirty.DirtyBitPolicy.
+        on_write_miss` is a zero-cycle no-op, so the call is skipped.
+        A first touch creates the page record once, here, and hands
+        it to :meth:`~repro.vm.system.VirtualMemorySystem.
+        handle_page_fault`.
 
         The in-cache PTE walk of
         :class:`~repro.translation.incache.InCacheTranslator` is
@@ -484,8 +497,8 @@ class SpurMachine:
         column; PTE blocks are installed through :meth:`~repro.cache.
         cache.VirtualCache.fill_fast` and the data block's install is
         the same column sequence inlined (this method is a sanctioned
-        tag-array writer), recording every counter/stats/bus increment
-        in ``tally`` slots.  Returns cycles.
+        tag-array writer), recording in ``tally`` only what
+        :meth:`_flush_tally` cannot derive.  Returns cycles.
         """
         vpn = vaddr >> self.page_bits
         pte = self._pte_peek(vpn)
@@ -496,11 +509,12 @@ class SpurMachine:
             # an unmapped address) when it faults or writes.
             page = self._page_peek(vpn)
             if page is None:
-                vm = self.vm
-                region = vm.space_map.region_of(vpn * vm.page_bytes)
-            else:
-                region = page.region
-            if region is None or (is_write and not region.writable):
+                region = self._region_of(vpn * self._vm_page_bytes)
+                if region is None or (is_write and not region.writable):
+                    return self._miss(kind, vaddr)
+                # First touch: the one lookup of the page's region.
+                page = self._page_records[vpn] = VmPage(vpn, region)
+            elif is_write and not page.region.writable:
                 return self._miss(kind, vaddr)
             if pte is None:
                 pte = self.page_table.entry(vpn)
@@ -509,45 +523,35 @@ class SpurMachine:
         line_block = cache.line_block
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        fill_fast = cache.fill_fast
-        if kind == 0:
-            tally[_T_IFETCH_MISS] += 1
-        elif kind == 1:
-            tally[_T_READ_MISS] += 1
-        else:
-            tally[_T_WRITE_MISS] += 1
+        tally[_T_MISSES + kind] += 1
         cycles = self._pte_check_cycles
         pte_vaddr = self._pte_base + vpn * PTE_BYTES
         block = pte_vaddr >> block_bits
-        if line_block[block & index_mask] == block:
-            tally[_T_PTE_HIT] += 1
-        else:
+        if line_block[block & index_mask] != block:
             tally[_T_PTE_MISS] += 1
             cycles += self._second_check_cycles
             second_vaddr = self._second_level_base + (
                 pte_vaddr >> self.page_bits
             ) * PTE_BYTES
             sblock = second_vaddr >> block_bits
-            if line_block[sblock & index_mask] == sblock:
-                tally[_T_SECOND_HIT] += 1
-            else:
+            if line_block[sblock & index_mask] != sblock:
                 tally[_T_SECOND_MEMORY] += 1
-                cycles += fill_fast(
-                    second_vaddr, _PROT_KERNEL, True, False, True,
-                    tally,
+                cycles += cache.fill_fast(
+                    second_vaddr, _PROT_KERNEL, 1, 0, 1, tally
                 )
-            cycles += fill_fast(
-                pte_vaddr, _PROT_KERNEL, True, False, True, tally
+            cycles += cache.fill_fast(
+                pte_vaddr, _PROT_KERNEL, 1, 0, 1, tally
             )
         if faults:
-            cycles += self.vm.handle_page_fault(vpn)
+            cycles += self.vm.handle_page_fault(vpn, page)
         if not pte.referenced:
             # Every reference policy's miss hook is a no-op on a set
             # bit.
             cycles += self.reference_policy.on_cache_miss(self, pte)
-        if is_write:
-            if page is None:
-                page = self.vm.page(vpn)
+        if is_write and not (
+            pte.dirty
+            or (self._write_miss_software_settles and pte.software_dirty)
+        ):
             cycles += self.dirty_policy.on_write_miss(self, pte, page)
         # Data-block install: fill_fast's exact column sequence,
         # inlined to reuse this frame's locals on the per-miss hot
@@ -556,38 +560,31 @@ class SpurMachine:
         block = vaddr >> block_bits
         index = block & index_mask
         transfer = cache.block_transfer_cycles
-        bus = cache.bus
-        if cache.valid[index]:
-            if cache.block_dirty[index]:
-                cycles += transfer
-                tally[TALLY_WRITE_BACKS] += 1
-                if cache.has_peers:
-                    bus.broadcast(cache, _BUS_WRITE_BACK,
-                                  cache.line_vaddr[index])
-                elif bus is not None:
-                    tally[TALLY_BUS] += 1
-            tally[TALLY_EVICTIONS] += 1
-        cache.valid[index] = 1
-        cache.tags[index] = vaddr >> cache.tag_shift
-        cache.line_vaddr[index] = vaddr & cache.block_offset_mask
+        cycles += transfer
+        if line_block[index] < 0:
+            tally[TALLY_COLD_FILLS] += 1
+        elif cache.block_dirty[index]:
+            cycles += transfer
+            tally[TALLY_WRITE_BACKS] += 1
+            if cache.has_peers:
+                cache.bus.broadcast(cache, _BUS_WRITE_BACK,
+                                    line_block[index] << block_bits)
         line_block[index] = block
         cache.prot[index] = pte.protection
-        cache.page_dirty[index] = self.dirty_policy.fill_page_dirty(pte)
-        cache.block_dirty[index] = is_write
-        cache.filled_by_read[index] = not is_write
+        cache.page_dirty[index] = (
+            self._install_page_dirty or pte.dirty or pte.software_dirty
+        )
         cache.holds_pte[index] = 0
         if is_write:
+            cache.block_dirty[index] = 1
             cache.state[index] = _OWNED_EXCLUSIVE
             bus_op = _BUS_READ_OWNED
         else:
+            cache.block_dirty[index] = 0
             cache.state[index] = _UNOWNED
             bus_op = _BUS_READ
         if cache.has_peers:
-            bus.broadcast(cache, bus_op, vaddr)
-        elif bus is not None:
-            tally[TALLY_BUS] += 1
-        cycles += transfer
-        tally[TALLY_FILLS] += 1
+            cache.bus.broadcast(cache, bus_op, vaddr)
         return cycles
 
     def _resolve_write_hit(self, index, vaddr, tally):
@@ -604,16 +601,17 @@ class SpurMachine:
         state or tally is touched.
 
         The commit path mirrors the legacy bookkeeping exactly: the
-        clean-block and read-filled-block counters are deferred into
-        tally slots, the block-dirty bit is set, and the Berkeley
-        write-hit transition is applied (the two common cases inline,
-        the rest through :meth:`~repro.cache.cache.VirtualCache.
-        acquire_ownership_fast`; the settled handler cannot have moved
-        the block, so no re-probe is needed).  The slow path's
-        region-writable recheck is covered by the predicate's
-        contract — settled implies the write cannot protection-fault —
-        so only the record-existence peeks remain.  Returns cycles
-        (always 0: a settled write hit is free).
+        clean-block counter is deferred into a tally slot (the
+        read-filled-block counter is derived from it), the block-dirty
+        bit is set, and the Berkeley write-hit transition is applied
+        (the two common cases inline, the rest through
+        :meth:`~repro.cache.cache.VirtualCache.acquire_ownership_fast`;
+        the settled handler cannot have moved the block, so no
+        re-probe is needed).  The slow path's region-writable recheck
+        is covered by the predicate's contract — settled implies the
+        write cannot protection-fault — so only the record-existence
+        peeks remain.  Returns cycles (always 0: a settled write hit
+        is free).
         """
         cache = self.cache
         if not self.dirty_policy.write_hit_settled(cache, index):
@@ -623,17 +621,16 @@ class SpurMachine:
             return self._slow_write_hit(index, vaddr)
         if not cache.block_dirty[index]:
             tally[_T_WRITE_HIT_CLEAN] += 1
-            if cache.filled_by_read[index]:
-                tally[_T_WRITE_READ_FILLED] += 1
-                cache.filled_by_read[index] = 0
             cache.block_dirty[index] = 1
         state = cache.state[index]
         if state is not _OWNED_EXCLUSIVE:
             if state is _UNOWNED:
                 cache.state[index] = _OWNED_EXCLUSIVE
                 if cache.has_peers:
-                    cache.bus.broadcast(cache, _BUS_FOR_OWNERSHIP,
-                                        cache.line_vaddr[index])
+                    cache.bus.broadcast(
+                        cache, _BUS_FOR_OWNERSHIP,
+                        cache.line_block[index] << cache.block_bits,
+                    )
                 elif cache.bus is not None:
                     tally[TALLY_BUS] += 1
             else:
@@ -646,40 +643,49 @@ class SpurMachine:
         Exact regardless of where the run stopped: counter increments
         are modular sums, stats are plain sums, and nothing samples
         the books mid-call (the observer and sanitizer both cut
-        between calls).
+        between calls).  The derived events follow the tally-slot
+        table at the top of this module.
         """
-        increment = self.counters.increment
-        stats = self.cache.stats
-        fills = tally[TALLY_FILLS]
+        cache = self.cache
+        stats = cache.stats
+        misses = (tally[_T_IFETCH_MISS] + tally[_T_READ_MISS]
+                  + tally[_T_WRITE_MISS])
+        pte_misses = tally[_T_PTE_MISS]
+        second_memory = tally[_T_SECOND_MEMORY]
+        write_backs = tally[TALLY_WRITE_BACKS]
+        fills = misses + pte_misses + second_memory
         if fills:
             stats["fills"] += fills
-        evictions = tally[TALLY_EVICTIONS]
-        if evictions:
-            stats["evictions"] += evictions
-        write_backs = tally[TALLY_WRITE_BACKS]
+            stats["evictions"] += fills - tally[TALLY_COLD_FILLS]
         if write_backs:
             stats["write_backs"] += write_backs
-            increment(Event.WRITE_BACK, write_backs)
+        # Live broadcasts already counted every transaction on a
+        # shared bus; a private bus carries one per fill and one per
+        # write-back besides the tallied ownership upgrades.
         bus_count = tally[TALLY_BUS]
+        if not cache.has_peers:
+            bus_count += fills + write_backs
         if bus_count:
-            self.cache.bus.transactions += bus_count
-            increment(Event.BUS_TRANSACTION, bus_count)
-        # Derived events (see the tally-slot table): 1:1 with tallied
-        # slots on the fast path, so they are summed here instead of
-        # paying per-reference tally ops.
-        miss_sum = (tally[_T_IFETCH_MISS] + tally[_T_READ_MISS]
-                    + tally[_T_WRITE_MISS])
-        if miss_sum:
-            increment(Event.TRANSLATION, miss_sum)
-            increment(Event.BLOCK_FILL, miss_sum)
-        pte_misses = tally[_T_PTE_MISS]
-        if pte_misses:
-            increment(Event.SECOND_LEVEL_LOOKUP, pte_misses)
-        write_misses = tally[_T_WRITE_MISS]
-        if write_misses:
-            increment(Event.WRITE_MISS_FILL, write_misses)
-        for slot, event in _TALLY_EVENTS:
-            count = tally[slot]
+            cache.bus.transactions += bus_count
+        write_hits_clean = tally[_T_WRITE_HIT_CLEAN]
+        increment = self.counters.increment
+        for event, count in (
+            (Event.WRITE_BACK, write_backs),
+            (Event.BUS_TRANSACTION, bus_count),
+            (Event.TRANSLATION, misses),
+            (Event.BLOCK_FILL, misses),
+            (Event.SECOND_LEVEL_LOOKUP, pte_misses),
+            (Event.WRITE_MISS_FILL, tally[_T_WRITE_MISS]),
+            (Event.PTE_CACHE_HIT, misses - pte_misses),
+            (Event.PTE_CACHE_MISS, pte_misses),
+            (Event.SECOND_LEVEL_CACHE_HIT, pte_misses - second_memory),
+            (Event.SECOND_LEVEL_MEMORY_ACCESS, second_memory),
+            (Event.IFETCH_MISS, tally[_T_IFETCH_MISS]),
+            (Event.READ_MISS, tally[_T_READ_MISS]),
+            (Event.WRITE_MISS, tally[_T_WRITE_MISS]),
+            (Event.WRITE_HIT_CLEAN_BLOCK, write_hits_clean),
+            (Event.WRITE_TO_READ_FILLED_BLOCK, write_hits_clean),
+        ):
             if count:
                 increment(event, count)
 
@@ -695,12 +701,11 @@ class SpurMachine:
             raise ProtectionFault(vaddr, "write to read-only region")
 
         if not cache.block_dirty[index]:
+            # First modification of a block: a valid clean block is
+            # one that entered on a read, so this is also one of the
+            # paper's N_w-hit events (counted per block).
             self.counters.increment(Event.WRITE_HIT_CLEAN_BLOCK)
-        if cache.filled_by_read[index] and not cache.block_dirty[index]:
-            # First modification of a block that entered on a read:
-            # one of the paper's N_w-hit events (counted per block).
             self.counters.increment(Event.WRITE_TO_READ_FILLED_BLOCK)
-            cache.filled_by_read[index] = False
 
         cycles = self.dirty_policy.handle_write_hit(
             self, index, vaddr, pte, page
@@ -708,14 +713,9 @@ class SpurMachine:
 
         # The policy may have flushed and refilled the block (FLUSH);
         # find where the written block lives now and mark it dirty.
-        if cache.valid[index] and cache.tags[index] == (
-            vaddr >> cache.tag_shift
-        ):
-            target = index
-        else:
-            target = cache.probe(vaddr)
+        target = cache.probe(vaddr)
         if target >= 0:
-            cache.block_dirty[target] = True
+            cache.block_dirty[target] = 1
             cache.acquire_ownership(target)
         return cycles
 

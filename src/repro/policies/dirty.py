@@ -30,12 +30,23 @@ class DirtyBitPolicy:
     name = "ABSTRACT"
 
     #: Whether a set cached page-dirty copy implies the PTE records the
-    #: page as modified.  True for every policy whose
-    #: :meth:`fill_page_dirty` derives the copy from the PTE; the WRITE
-    #: policy overrides this because it fills the copy unconditionally
-    #: (the PTE is consulted on every first block write instead).  The
-    #: runtime sanitizer keys its dirty-bit invariant on this flag.
+    #: page as modified.  The contract: :meth:`fill_page_dirty` returns
+    #: ``pte.is_modified()`` when this is True and ``True`` when it is
+    #: False.  The WRITE policy is the one that sets it False, because
+    #: it fills the copy unconditionally (the PTE is consulted on every
+    #: first block write instead).  The runtime sanitizer keys its
+    #: dirty-bit invariant on this flag, and the machine's batched
+    #: miss resolver binds its install's page-dirty copy to it when
+    #: the machine is built.
     cached_dirty_tracks_pte = True
+
+    #: Which set PTE bits make :meth:`on_write_miss` a zero-cycle,
+    #: mutation-free no-op.  The contract: the hook is such a no-op
+    #: exactly when ``pte.dirty`` is set, or, when this is True, when
+    #: ``pte.software_dirty`` is set.  The machine's batched miss
+    #: resolver binds this when the machine is built and skips the
+    #: call whenever the test passes.
+    write_miss_settled_by_software_dirty = True
 
     def map_protection(self, writable):
         """Hardware protection for a freshly mapped page."""
@@ -200,6 +211,10 @@ class SpurDirtyPolicy(DirtyBitPolicy):
     """
 
     name = "SPUR"
+
+    # The hardware bit alone settles a write miss.  SPUR's handlers
+    # never set the software bit, but the contract does not assume it.
+    write_miss_settled_by_software_dirty = False
 
     def handle_write_hit(self, machine, index, vaddr, pte, page):
         cache = machine.cache

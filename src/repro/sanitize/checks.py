@@ -13,27 +13,23 @@ debugging machinery, not an API consumer.
 """
 
 from repro.cache.coherence import CoherencyState
+from repro.cache.columns import FLAG_COLUMNS
 from repro.sanitize.violation import InvariantViolation
 
 _INVALID = int(CoherencyState.INVALID)
 _OWNED_SHARED = int(CoherencyState.OWNED_SHARED)
 
-#: Column-store flag columns constrained to boolean 0/1 values.
-_BOOL_COLUMNS = ("valid", "page_dirty", "block_dirty",
-                 "filled_by_read", "holds_pte")
+#: The legal two-bit protection encodings.
+PROTECTION_ENCODINGS = (0, 1, 2, 3)
 
 #: The parallel per-line tag arrays a :class:`VirtualCache` keeps.
 TAG_ARRAY_FIELDS = (
-    "valid",
-    "tags",
-    "line_vaddr",
+    "line_block",
     "prot",
     "page_dirty",
     "block_dirty",
     "state",
-    "filled_by_read",
     "holds_pte",
-    "line_block",
 )
 
 
@@ -48,45 +44,42 @@ def _line_state(cache, index):
 def check_line(cache, index, ref_index=None):
     """Validate the parallel-array slots of one cache line.
 
-    The per-line legality rules:
+    Validity, the address tag and the fill address are all derived
+    from ``line_block`` (the resident block number, -1 when invalid),
+    so the per-line legality rules are:
 
+    * ``line_block`` is a block number or -1
+      (``cache.line-block-agreement``);
     * an invalid line is fully quiescent — coherency state ``INVALID``
       and block-dirty clear (``cache.invalid-quiescent``);
     * a valid line has a non-``INVALID`` coherency state
       (``cache.valid-state``);
-    * the tag, fill-address, and index arrays agree: the stored tag is
-      the tag of the stored fill address, and the fill address maps to
-      this line and is block-aligned (``cache.tag-agreement``);
+    * a valid line's block maps to this line:
+      ``line_block & index_mask == index`` (``cache.tag-agreement``);
     * the protection slot holds a legal two-bit encoding
       (``cache.protection-encoding``);
     * a block-dirty line is owned — Berkeley Ownership permits dirty
       data only in the two OWNED states, which is also the "UNOWNED
       implies memory up to date" half of the protocol
-      (``cache.dirty-owned``);
-    * the probe shortcut agrees with the tag arrays: ``line_block`` is
-      the fill address's block number on a valid line and -1 on an
-      invalid one, so the chunked hot loop's single-compare hit test
-      matches the valid+tag test exactly
-      (``cache.line-block-agreement``).
+      (``cache.dirty-owned``).
     """
-    valid = cache.valid[index]
+    block = cache.line_block[index]
     state = cache.state[index]
     dirty = cache.block_dirty[index]
-    if not valid:
+    if block < -1:
+        raise InvariantViolation(
+            "cache.line-block-agreement",
+            f"line {index} holds block number {block}; only block "
+            f"numbers and -1 (invalid) are legal",
+            machine=cache.name,
+            ref_index=ref_index,
+            state=_line_state(cache, index),
+        )
+    if block < 0:
         if state != _INVALID or dirty:
             raise InvariantViolation(
                 "cache.invalid-quiescent",
                 f"invalid line {index} keeps state/dirty residue",
-                machine=cache.name,
-                ref_index=ref_index,
-                state=_line_state(cache, index),
-            )
-        if cache.line_block[index] != -1:
-            raise InvariantViolation(
-                "cache.line-block-agreement",
-                f"invalid line {index} keeps block number "
-                f"{cache.line_block[index]}; the chunked hot loop "
-                f"would hit on a stale block",
                 machine=cache.name,
                 ref_index=ref_index,
                 state=_line_state(cache, index),
@@ -100,30 +93,16 @@ def check_line(cache, index, ref_index=None):
             ref_index=ref_index,
             state=_line_state(cache, index),
         )
-    vaddr = cache.line_vaddr[index]
-    if (
-        cache.tags[index] != vaddr >> cache.tag_shift
-        or (vaddr >> cache.block_bits) & cache.index_mask != index
-        or vaddr & ((1 << cache.block_bits) - 1)
-    ):
+    if block & cache.index_mask != index:
         raise InvariantViolation(
             "cache.tag-agreement",
-            f"line {index}: tag, fill address, and index disagree",
+            f"line {index} holds block {block}, which maps to line "
+            f"{block & cache.index_mask}",
             machine=cache.name,
             ref_index=ref_index,
             state=_line_state(cache, index),
         )
-    if cache.line_block[index] != vaddr >> cache.block_bits:
-        raise InvariantViolation(
-            "cache.line-block-agreement",
-            f"line {index}: block number "
-            f"{cache.line_block[index]} disagrees with fill address "
-            f"{vaddr:#x}",
-            machine=cache.name,
-            ref_index=ref_index,
-            state=_line_state(cache, index),
-        )
-    if not 0 <= cache.prot[index] <= 3:
+    if cache.prot[index] not in PROTECTION_ENCODINGS:
         raise InvariantViolation(
             "cache.protection-encoding",
             f"line {index}: protection {cache.prot[index]!r} is not a "
@@ -146,7 +125,7 @@ def check_line(cache, index, ref_index=None):
 def check_cache_arrays(cache, ref_index=None):
     """Validate a whole cache: array lengths plus every line.
 
-    Invariant ``cache.array-lengths``: the ten parallel tag arrays all
+    Invariant ``cache.array-lengths``: the six parallel tag arrays all
     have exactly ``num_lines`` entries — the structural precondition of
     the hot loop's unguarded indexing.
     """
@@ -167,18 +146,18 @@ def check_cache_arrays(cache, ref_index=None):
 
 
 def check_column_store(cache, ref_index=None):
-    """Validate the cache's flat column store and its aliases.
+    """Validate the cache's column store and its aliases.
 
     Invariant ``cache.column-store-agreement``, in two parts:
 
-    * every flat tag-array attribute on the cache is the *same
-      object* as the corresponding :class:`~repro.cache.columns.
-      ColumnStore` column — the hot loops and the slow paths must all
-      mutate one buffer, and an accidental rebinding
-      (``cache.valid = [...]``) would silently desynchronize them;
+    * every tag-array attribute on the cache is the *same object* as
+      the corresponding :class:`~repro.cache.columns.ColumnStore`
+      column — the hot loops and the slow paths must all mutate one
+      list, and an accidental rebinding (``cache.block_dirty =
+      [...]``) would silently desynchronize them;
     * flag columns hold only 0/1 — every writer stores a boolean, so
-      a larger byte means some path wrote a value the flag tests and
-      byte-level state snapshots do not expect.
+      any other value means some path wrote a value the flag tests
+      and state snapshots do not expect.
     """
     columns = getattr(cache, "columns", None)
     if columns is None:
@@ -188,18 +167,18 @@ def check_column_store(cache, ref_index=None):
             raise InvariantViolation(
                 "cache.column-store-agreement",
                 f"cache attribute {name!r} was rebound away from its "
-                f"column-store buffer",
+                f"column-store list",
                 machine=cache.name,
                 ref_index=ref_index,
             )
-    for name in _BOOL_COLUMNS:
+    for name in FLAG_COLUMNS:
         column = getattr(columns, name)
         for index, value in enumerate(column):
-            if value > 1:
+            if value not in (0, 1):
                 raise InvariantViolation(
                     "cache.column-store-agreement",
                     f"flag column {name!r} holds non-boolean value "
-                    f"{value} at line {index}",
+                    f"{value!r} at line {index}",
                     machine=cache.name,
                     ref_index=ref_index,
                 )
@@ -245,11 +224,10 @@ def check_bus_coherence(bus, ref_index=None):
     """Validate global protocol state for every block on the bus."""
     blocks = set()
     for cache in bus.caches:
-        valid = cache.valid
-        line_vaddr = cache.line_vaddr
-        for index in range(cache.num_lines):
-            if valid[index]:
-                blocks.add(line_vaddr[index])
+        block_bits = cache.block_bits
+        for block in cache.line_block:
+            if block >= 0:
+                blocks.add(block << block_bits)
     for block_vaddr in blocks:
         check_block_ownership(bus, block_vaddr, ref_index=ref_index)
 
@@ -278,10 +256,10 @@ def check_dirty_policy(machine, ref_index=None):
     page_bits = machine.page_bits
     tracks_pte = machine.dirty_policy.cached_dirty_tracks_pte
     for cache in machine.caches():
-        for index in range(cache.num_lines):
-            if not cache.valid[index] or cache.holds_pte[index]:
+        for index in cache.resident_lines():
+            if cache.holds_pte[index]:
                 continue
-            vaddr = cache.line_vaddr[index]
+            vaddr = cache.line_address(index)
             if vaddr >= user_limit:
                 continue
             pte = page_table.lookup(vaddr >> page_bits)

@@ -140,13 +140,15 @@ class VirtualMemorySystem:
 
     # -- page faults ----------------------------------------------------
 
-    def handle_page_fault(self, vpn):
+    def handle_page_fault(self, vpn, page=None):
         """Make page ``vpn`` resident.  Returns handler cycles.
 
         The sequence mirrors Sprite: reclaim frames if the free pool is
         low, allocate a frame, fill it (swap read, file read, or zero
         fill), and install the PTE with policy-chosen protection and
-        dirty/reference state.
+        dirty/reference state.  ``page`` is the page's record when the
+        caller already holds it (the machine's batched miss resolver
+        creates it on a first touch); it is looked up otherwise.
         """
         machine = self.machine
         timing = machine.fault_timing
@@ -155,7 +157,8 @@ class VirtualMemorySystem:
         self.stats.page_faults += 1
         cycles = timing.page_fault_service
 
-        page = self.page(vpn)
+        if page is None:
+            page = self.page(vpn)
 
         if page.inactive and self.daemon.try_reactivate(vpn):
             # Segmented FIFO rescue: the frame still holds the page;

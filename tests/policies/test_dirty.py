@@ -6,6 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import Protection
 from repro.counters.events import Event
 from repro.policies.dirty import make_dirty_policy
+from repro.translation.pte import PageTableEntry
 from repro.workloads.base import READ, WRITE
 
 from tests.conftest import make_machine, simple_space
@@ -189,7 +190,7 @@ class TestWriteHitFastPath:
         pte = machine._pte_peek(vpn)
         page = machine._page_peek(vpn)
         before_cols = {
-            name: bytes(col) for name, col in cache.columns.columns()
+            name: list(col) for name, col in cache.columns.columns()
         }
         before_pte = (pte.dirty, pte.referenced)
         cost = machine.dirty_policy.handle_write_hit(
@@ -198,6 +199,65 @@ class TestWriteHitFastPath:
         assert cost == 0
         assert before_pte == (pte.dirty, pte.referenced)
         after_cols = {
-            name: bytes(col) for name, col in cache.columns.columns()
+            name: list(col) for name, col in cache.columns.columns()
         }
         assert after_cols == before_cols
+
+
+ALL_POLICIES = ["FAULT", "FLUSH", "SPUR", "PROTMISS", "WRITE", "MIN"]
+PTE_BITS = [(dirty, soft) for dirty in (False, True)
+            for soft in (False, True)]
+
+
+class TestMissPathContracts:
+    """The per-policy facts the batched miss resolver binds when the
+    machine is built instead of calling the policy on every miss."""
+
+    @pytest.mark.parametrize("dirty,soft", PTE_BITS)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_fill_page_dirty_follows_tracks_flag(self, policy, dirty,
+                                                 soft):
+        rules = make_dirty_policy(policy)
+        pte = PageTableEntry(dirty=dirty, software_dirty=soft,
+                             valid=True)
+        expected = (pte.is_modified() if rules.cached_dirty_tracks_pte
+                    else True)
+        assert rules.fill_page_dirty(pte) == expected
+
+    @pytest.mark.parametrize("dirty,soft", PTE_BITS)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_write_miss_settled_exactly_when_flags_say(self, policy,
+                                                       dirty, soft):
+        # The hook is a zero-cycle, mutation-free no-op exactly when
+        # the hardware dirty bit, or (where the policy says so) the
+        # software dirty bit, is set; otherwise it does work.
+        machine, heap = policy_machine(policy)
+        machine.run([(READ, heap)])  # map the page, cache its blocks
+        vpn = heap >> machine.page_bits
+        pte = machine.page_table.entry(vpn)
+        page = machine.vm.page(vpn)
+        pte.dirty = dirty
+        pte.software_dirty = soft
+        rules = machine.dirty_policy
+        settled = dirty or (
+            rules.write_miss_settled_by_software_dirty and soft
+        )
+        before = (
+            machine.counters.snapshot().as_dict(),
+            {name: list(col)
+             for name, col in machine.cache.columns.columns()},
+            (pte.dirty, pte.software_dirty, pte.protection),
+        )
+        cycles = rules.on_write_miss(machine, pte, page)
+        after = (
+            machine.counters.snapshot().as_dict(),
+            {name: list(col)
+             for name, col in machine.cache.columns.columns()},
+            (pte.dirty, pte.software_dirty, pte.protection),
+        )
+        if settled:
+            assert cycles == 0
+            assert after == before
+        else:
+            assert cycles > 0
+            assert pte.is_modified()

@@ -80,7 +80,9 @@ class TestChunkedDetection:
         # A skewed ``line_block`` on a line the stream then touches is
         # self-repairing (the false miss refills it), so corrupt a
         # line the rest of the stream leaves alone: the stream-end
-        # sweep must flag the disagreement.
+        # sweep must flag the disagreement.  A block number one off
+        # maps to the next line, so the index half of the tag check
+        # catches it.
         machine, heap = rig
         sanitizer = attach(machine, mode="full")
         machine.run_chunks(chunked([(READ, heap)] * 4, 4))
@@ -89,7 +91,7 @@ class TestChunkedDetection:
         other_page = heap + 128
         with pytest.raises(InvariantViolation) as excinfo:
             machine.run_chunks(chunked([(READ, other_page)] * 4, 4))
-        assert excinfo.value.invariant == "cache.line-block-agreement"
+        assert excinfo.value.invariant == "cache.tag-agreement"
         assert sanitizer.line_checks > 0
 
     def test_sampled_mode_spot_checks_chunk_tails(self, rig):
