@@ -21,9 +21,12 @@ from repro.vm.segments import (
     ProcessAddressSpace,
     RegionKind,
 )
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ, WRITE, chunk_accesses
 
 from conftest import once
+
+#: References per board per interleaving round.
+QUANTUM = 2048
 
 
 def build_system(num_cpus):
@@ -59,8 +62,8 @@ def run_scaling():
                     offset = base + ((i * 7) % (24 * 16)) * 32
                 kind = WRITE if (i + cpu) % 5 == 0 else READ
                 refs.append((kind, heap.start + offset))
-            streams.append(refs)
-        system.run_interleaved(streams, quantum=2048)
+            streams.append(chunk_accesses(refs, QUANTUM))
+        system.run_interleaved_chunks(streams, quantum=QUANTUM)
         flush_cycles = system.flush_page(heap.start)
         measurements[num_cpus] = {
             "bus": system.bus.transactions,

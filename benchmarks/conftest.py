@@ -36,21 +36,15 @@ def bench_reps():
     return int(os.environ.get("REPRO_BENCH_REPS", "2"))
 
 
-def bench_workers():
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
 def bench_runner():
-    """An ExperimentRunner honouring ``REPRO_BENCH_CACHE``."""
+    """An ExperimentRunner honouring the worker and cache knobs."""
     from repro.machine.runner import ExperimentRunner
+    from repro.options import RunOptions
 
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    cache = None
-    if cache_dir:
-        from repro.parallel import ResultCache
-
-        cache = ResultCache(cache_dir)
-    return ExperimentRunner(cache=cache)
+    return ExperimentRunner(options=RunOptions(
+        workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
+        cache_dir=os.environ.get("REPRO_BENCH_CACHE") or None,
+    ))
 
 
 def shape_asserts_enabled():

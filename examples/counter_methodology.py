@@ -13,12 +13,11 @@ Run:
     python examples/counter_methodology.py
 """
 
-import itertools
-
 from repro.counters import MeasurementCampaign
 from repro.counters.events import Event, MODE_SETS
 from repro.machine.config import scaled_config
 from repro.machine.simulator import SpurMachine
+from repro.workloads.base import take_chunks
 from repro.workloads.slc import SlcWorkload
 
 TABLE_3_3_EVENTS = (
@@ -55,7 +54,7 @@ def main():
     # The cross-check the 1989 team could not do: an omniscient run.
     instance = workload.instantiate(config.page_bytes, seed=0)
     machine = SpurMachine(config, instance.space_map)
-    machine.run(itertools.islice(instance.accesses(), REFERENCES))
+    machine.run_chunks(take_chunks(instance.access_chunks(), REFERENCES))
     mismatches = [
         event for event in TABLE_3_3_EVENTS
         if assembled[event] != machine.counters.read(event)

@@ -25,7 +25,10 @@ from repro.vm.segments import (
     ProcessAddressSpace,
     RegionKind,
 )
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ, WRITE, chunk_accesses
+
+#: References per board per interleaving round.
+QUANTUM = 2048
 
 
 def build_system(num_cpus):
@@ -65,9 +68,10 @@ def main():
     for num_cpus in (1, 2, 4):
         system, heap = build_system(num_cpus)
         streams = [
-            sharing_stream(heap, c) for c in range(num_cpus)
+            chunk_accesses(sharing_stream(heap, c), QUANTUM)
+            for c in range(num_cpus)
         ]
-        system.run_interleaved(streams, quantum=2048)
+        system.run_interleaved_chunks(streams, quantum=QUANTUM)
 
         # Price one REF-style clear: flush a hot page from all caches.
         flush_cycles = system.flush_page(heap.start)

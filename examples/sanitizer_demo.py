@@ -17,12 +17,10 @@ Run:
     python examples/sanitizer_demo.py
 """
 
-import itertools
-
 from repro.machine.config import scaled_config
 from repro.machine.simulator import SpurMachine
 from repro.sanitize import InvariantViolation, Sanitizer
-from repro.workloads.base import READ
+from repro.workloads.base import READ, take_chunks
 from repro.workloads.slc import SlcWorkload
 
 
@@ -39,8 +37,7 @@ def main():
 
     print("1. A healthy run under the full-mode sanitizer")
     print("   ------------------------------------------")
-    stream = instance.accesses()
-    machine.run(itertools.islice(stream, 50_000))
+    machine.run_chunks(take_chunks(instance.access_chunks(), 50_000))
     sanitizer.check_now()
     print(f"   {machine.references:,} references, "
           f"{sanitizer.line_checks:,} per-reference line checks, "

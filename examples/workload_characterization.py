@@ -13,6 +13,7 @@ Run:
 import sys
 
 from repro.analysis.tracestats import analyze_trace
+from repro.workloads.base import iter_refs
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
 
@@ -27,7 +28,7 @@ def main():
                      SlcWorkload(length_scale=0.5)):
         instance = workload.instantiate(PAGE_BYTES, seed=0)
         stats = analyze_trace(
-            instance.accesses(),
+            iter_refs(instance.access_chunks()),
             page_bytes=PAGE_BYTES,
             max_references=max_references,
             window=32_768,

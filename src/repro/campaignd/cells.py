@@ -209,7 +209,6 @@ def cell_to_spec(cell):
         "seed": cell.seed,
         "max_references": cell.max_references,
         "sanitize": cell.sanitize,
-        "chunk_refs": cell.chunk_refs,
         "label": cell.label,
         "observe": cell.observe,
         "epoch_refs": cell.epoch_refs,
@@ -231,7 +230,6 @@ def spec_to_cell(spec):
         seed=spec["seed"],
         max_references=spec["max_references"],
         sanitize=spec.get("sanitize"),
-        chunk_refs=spec.get("chunk_refs", 0),
         label=spec.get("label"),
         observe=spec.get("observe", False),
         epoch_refs=spec.get("epoch_refs", 1),

@@ -77,10 +77,11 @@ class RetryPolicy:
 class LocalDriver:
     """Run pending cells in this process, serially or over a pool.
 
-    The campaign service's default backend and the engine behind
-    :func:`~repro.parallel.execute_cells`.  ``workers=1`` (or a single
-    pending cell) simulates in-process with no pool, generating each
-    distinct trace once per call through a
+    The campaign service's default backend: every serial
+    :meth:`~repro.machine.runner.ExperimentRunner.run_many` call and
+    :func:`~repro.parallel.execute_cells` run on it.  ``workers=1``
+    (or a single pending cell) simulates in-process with no pool,
+    generating each distinct trace once per call through a
     :class:`~repro.machine.traceshare.TraceShare`; otherwise a
     :class:`~concurrent.futures.ProcessPoolExecutor` of at most
     ``workers`` processes runs :func:`~repro.parallel.executor.
@@ -115,7 +116,7 @@ class LocalDriver:
         if self.workers <= 1 or len(pending) <= 1:
             traces = TraceShare.plan(
                 trace_key(cell.workload, cell.config.page_bytes,
-                          cell.seed, cell.chunk_refs, cell.max_references)
+                          cell.seed, cell.max_references)
                 for cell in map(cells.__getitem__, pending)
             )
             for index in pending:

@@ -2,8 +2,8 @@
 
 :class:`CampaignService` is the one multi-cell execution pipeline:
 :func:`~repro.parallel.execute_cells` is a thin call to it, and every
-:meth:`~repro.machine.runner.ExperimentRunner.run_many` call that uses
-a campaign feature runs through it.  Its run loop:
+:meth:`~repro.machine.runner.ExperimentRunner.run_many` call runs
+through it, serial ones included.  Its run loop:
 
 1. resolve the :class:`~repro.campaignd.queue.WorkQueue` — every cell
    whose content-addressed key is already in the cache or the journal
@@ -18,9 +18,9 @@ a campaign feature runs through it.  Its run loop:
    RetryPolicy`, with exponential backoff, until they succeed or
    attempts run out;
 5. raise :class:`~repro.parallel.executor.CampaignError` carrying the
-   partial results if any cell failed permanently, else return the
-   full result list — bit-identical to a plain serial loop over the
-   same cells, whatever the driver.
+   partial results if any cell failed permanently, chained (as
+   ``__cause__``) to the first failed cell's exception, else return
+   the full result list — bit-identical whatever the driver.
 
 The service is the only writer of the journal and the only caller of
 ``record``-side effects; drivers just produce outcomes.  That single
@@ -91,7 +91,9 @@ class CampaignService:
         """Execute the campaign; returns results in cell order.
 
         Raises :class:`~repro.parallel.executor.CampaignError` (with
-        partial results attached) if any cell fails all attempts.
+        partial results attached, and the first failed cell's
+        exception as its ``__cause__``) if any cell fails all
+        attempts.
         """
         plan = WorkQueue(
             self.cells, journal=self.journal, cache=self.cache
@@ -205,7 +207,9 @@ class CampaignService:
         if self.journal is not None:
             self.journal.close()
         if failures:
-            raise CampaignError(failures, results)
+            raise CampaignError(failures, results) from errors[
+                failures[0].index
+            ]
         return results
 
 

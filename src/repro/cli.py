@@ -30,7 +30,6 @@ from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.observe.series import DEFAULT_EPOCH_REFS
 from repro.options import RunOptions
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.catalog import workload_by_name
 
 TABLE_CHOICES = ("2.1", "3.1", "3.2", "3.3", "3.4", "3.5", "4.1")
@@ -51,7 +50,6 @@ def _options_from_args(args):
         sink = JsonlSink(trace_out)
     return RunOptions(
         workers=getattr(args, "workers", 1),
-        chunk_refs=getattr(args, "chunk_refs", DEFAULT_CHUNK_REFS) or 0,
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
         sanitize=getattr(args, "sanitize", None),
@@ -146,8 +144,7 @@ def cmd_table(args):
     elif number == "3.3":
         runner = _runner_from_args(args)
         _, table = run_table_3_3(length_scale=args.length,
-                                 seed=args.seed, runner=runner,
-                                 workers=args.workers)
+                                 seed=args.seed, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     elif number == "3.4":
@@ -158,8 +155,7 @@ def cmd_table(args):
         else:
             runner = _runner_from_args(args)
             rows, _ = run_table_3_3(length_scale=args.length,
-                                    seed=args.seed, runner=runner,
-                                    workers=args.workers)
+                                    seed=args.seed, runner=runner)
             _, table = build_table_3_4(
                 rows, exclude_zero_fill=not args.include_zero_fill
             )
@@ -168,15 +164,13 @@ def cmd_table(args):
     elif number == "3.5":
         runner = _runner_from_args(args)
         _, table = run_table_3_5(length_scale=args.length,
-                                 seed=args.seed, runner=runner,
-                                 workers=args.workers)
+                                 seed=args.seed, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     elif number == "4.1":
         runner = _runner_from_args(args)
         _, table = run_table_4_1(length_scale=args.length,
-                                 repetitions=args.reps, runner=runner,
-                                 workers=args.workers)
+                                 repetitions=args.reps, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     return 0
@@ -251,18 +245,15 @@ def cmd_all(args):
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _runner_from_args(args)
-    workers = args.workers
     jobs = (
         ("table_3_3", lambda: run_table_3_3(
-            length_scale=args.length, runner=runner,
-            workers=workers)[1]),
+            length_scale=args.length, runner=runner)[1]),
         ("table_3_4_paper", lambda: build_table_3_4()[1]),
         ("table_3_5", lambda: run_table_3_5(
-            length_scale=args.length, runner=runner,
-            workers=workers)[1]),
+            length_scale=args.length, runner=runner)[1]),
         ("table_4_1", lambda: run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
-            runner=runner, workers=workers)[1]),
+            runner=runner)[1]),
     )
     for name, job in jobs:
         print(f"regenerating {name} ...", file=sys.stderr)
@@ -285,18 +276,16 @@ def _campaign_body(args, runner):
               file=sys.stderr)
         rows_33, table_33 = run_table_3_3(
             length_scale=args.length, seed=args.seed, runner=runner,
-            workers=args.workers,
         )
         _, table_34 = build_table_3_4(rows_33)
         print("table 3.5 ...", file=sys.stderr)
         _, table_35 = run_table_3_5(
             length_scale=args.length, seed=args.seed, runner=runner,
-            workers=args.workers,
         )
         print("table 4.1 ...", file=sys.stderr)
         _, table_41 = run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
-            runner=runner, workers=args.workers,
+            runner=runner,
         )
     except CampaignError as error:
         # Every cell had its chance (successes are cached), so a
@@ -391,12 +380,13 @@ def cmd_characterize(args):
     """Measure a workload's reference-stream properties."""
     from repro.analysis.tracestats import analyze_trace
     from repro.machine.config import scaled_config
+    from repro.workloads.base import iter_refs
 
     page_bytes = scaled_config().page_bytes
     workload = _workload_by_name(args.workload, args.length)
     instance = workload.instantiate(page_bytes, seed=args.seed)
     stats = analyze_trace(
-        instance.accesses(), page_bytes=page_bytes,
+        iter_refs(instance.access_chunks()), page_bytes=page_bytes,
         max_references=args.max_references,
     )
     _emit(
@@ -439,9 +429,7 @@ def cmd_replay(args):
             f"trace uses {workload.page_bytes}-byte pages; the "
             f"default machine uses {config.page_bytes}"
         )
-    result = ExperimentRunner(chunk_refs=args.chunk_refs).run(
-        config, workload
-    )
+    result = _runner_from_args(args).run(config, workload)
     lines = [
         f"replayed            {result.references:,} references of "
         f"{result.workload}",
@@ -551,12 +539,6 @@ def build_parser():
                        help="workload length multiplier (default 1.0)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="also write the artefact here")
-        p.add_argument("--chunk-refs", type=int,
-                       default=DEFAULT_CHUNK_REFS,
-                       help="references per flat workload chunk in "
-                            "the batched hot loop (0 = legacy "
-                            "per-tuple stream; results are "
-                            "bit-identical either way)")
         if reps:
             p.add_argument("--reps", type=int, default=2,
                            help="repetitions (paper used 5)")

@@ -150,11 +150,11 @@ class LintConfig:
     )
 
     #: Fields declared inert for caching: they steer *how* a run
-    #: executes (parallelism, chunking, observation) but can never
+    #: executes (parallelism, caching, observation) but can never
     #: change its counters, so they are legitimately absent from the
     #: cache key.
     cache_inert_fields: frozenset = frozenset({
-        "workers", "chunk_refs", "cache_dir", "use_cache",
+        "workers", "cache_dir", "use_cache",
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
         "label", "journal", "driver", "retries",
         "retry_backoff_seconds", "cell_timeout_seconds",

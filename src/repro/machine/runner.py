@@ -11,13 +11,15 @@ into every later cell that shares it
 ``host_seconds`` excludes generation; pool workers do not share
 traces and generate per cell.
 
-Because every run is a pure function of (config, workload recipe,
-seed, reference cap), the multi-run entry points accept ``workers=N``
-to fan independent cells out over worker processes via the campaign
-service (:mod:`repro.campaignd`) — results are bit-identical to the
-serial path, only faster — and a
-:class:`~repro.parallel.cache.ResultCache` to skip cells whose inputs
-were already simulated.
+Every run streams its workload as flat chunks through
+:meth:`~repro.machine.simulator.SpurMachine.run_chunks`.  Because a
+run is a pure function of (config, workload recipe, seed, reference
+cap), every multi-run call goes through the campaign service
+(:mod:`repro.campaignd`): serial in-process at one worker, or fanned
+out over worker processes — results are bit-identical, only faster —
+with a :class:`~repro.parallel.cache.ResultCache` to skip cells whose
+inputs were already simulated.  All of it is set through one
+:class:`~repro.options.RunOptions`.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ from repro.counters.events import Event
 from repro.machine.simulator import SpurMachine
 from repro.observe.series import RunObservation
 from repro.options import RunOptions
-from repro.workloads.base import DEFAULT_CHUNK_REFS
+from repro.workloads.base import DEFAULT_CHUNK_REFS, take_chunks
 
 
 @dataclass
@@ -112,43 +114,19 @@ class ExperimentRunner:
         ``master_seed`` into each per-run seed via :func:`mix_seed`
         when independent replications of a whole experiment are
         wanted.
-    cache:
-        Optional :class:`~repro.parallel.cache.ResultCache` consulted
-        by the multi-run entry points.
-    sanitize:
-        Optional :mod:`repro.sanitize` mode name; every run then
-        executes under an attached invariant sanitizer.
-    chunk_refs:
-        References per flat workload chunk (the batched hot-loop
-        path, on by default).  ``0`` or ``None`` selects the legacy
-        per-tuple stream.  Either path produces bit-identical results
-        — same counters, cycles, and cache keys — so this knob trades
-        nothing but host speed.
     options:
         A :class:`~repro.options.RunOptions` bundling every execution
-        knob (workers, chunking, caching, sanitizing, observation).
-        This is the documented API; the ``cache``/``sanitize``/
-        ``chunk_refs`` keywords above are a deprecated compatibility
-        shim consulted only when ``options`` is not given.  An
-        explicit ``cache`` object always wins over
-        ``options.cache_dir``.
+        knob (workers, caching, sanitizing, observation, journaling);
+        ``None`` means the defaults.  ``options.cache_dir`` builds the
+        runner's :class:`~repro.parallel.cache.ResultCache`.
     """
 
     def __init__(self, master_seed=1234, mix_master_seed=False,
-                 cache=None, sanitize=None,
-                 chunk_refs=DEFAULT_CHUNK_REFS, options=None):
-        if options is None:
-            options = RunOptions(
-                chunk_refs=chunk_refs or 0, sanitize=sanitize
-            )
-        else:
-            options = RunOptions.coerce(options)
-        self.options = options
+                 options=None):
+        self.options = RunOptions.coerce(options)
         self.master_seed = master_seed
         self.mix_master_seed = mix_master_seed
-        self.cache = cache if cache is not None else options.build_cache()
-        self.sanitize = options.sanitize
-        self.chunk_refs = options.chunk_refs
+        self.cache = self.options.build_cache()
 
     def rep_seed(self, rep):
         """The run seed used for repetition *rep*."""
@@ -156,19 +134,11 @@ class ExperimentRunner:
             return mix_seed(self.master_seed, rep)
         return rep
 
-    def _call_options(self, options, workers=None):
-        """Resolve per-call options: explicit ones win over the runner's.
-
-        ``workers`` is the legacy per-call keyword; when given it
-        overrides the resolved options' worker count.
-        """
+    def _call_options(self, options):
+        """Per-call options, or the runner's own when none are given."""
         if options is None:
-            options = self.options
-        else:
-            options = RunOptions.coerce(options)
-        if workers is not None and workers != options.workers:
-            options = options.replace(workers=workers)
-        return options
+            return self.options
+        return RunOptions.coerce(options)
 
     def run(self, config, workload, seed=0, max_references=None,
             label=None, options=None, traces=None):
@@ -198,21 +168,11 @@ class ExperimentRunner:
             recorded it.
         """
         options = self._call_options(options)
-        if options.chunk_refs:
-            trace = (workload, config.page_bytes, seed,
-                     options.chunk_refs, max_references)
-            if traces is None:
-                name, space_map, chunks = _generate_chunks(*trace)
-            else:
-                name, space_map, chunks = traces.open(
-                    _generate_chunks, *trace
-                )
+        trace = (workload, config.page_bytes, seed, max_references)
+        if traces is None:
+            name, space_map, chunks = _generate_chunks(*trace)
         else:
-            instance = workload.instantiate(config.page_bytes, seed=seed)
-            name, space_map = instance.name, instance.space_map
-            accesses = instance.accesses()
-            if max_references is not None:
-                accesses = _take(accesses, max_references)
+            name, space_map, chunks = traces.open(_generate_chunks, *trace)
         machine = SpurMachine(config, space_map)
         sanitizer = None
         if options.sanitize:
@@ -231,10 +191,7 @@ class ExperimentRunner:
             )
             observer.attach(machine)
         started = time.perf_counter()
-        if options.chunk_refs:
-            machine.run_chunks(chunks)
-        else:
-            machine.run(accesses)
+        machine.run_chunks(chunks)
         host_seconds = time.perf_counter() - started
         if sanitizer is not None:
             sanitizer.check_now()
@@ -272,32 +229,27 @@ class ExperimentRunner:
             emit_run(options.trace_sink, result, label=label)
         return result
 
-    def run_many(self, specs, workers=None, options=None, labels=None):
+    def run_many(self, specs, options=None, labels=None):
         """Run ``(config, workload, seed, max_references)`` specs.
 
         The building block the multi-run entry points (and
         :class:`~repro.analysis.sweeps.SweepDriver`) share; returns
-        results in spec order.  It has two routes:
+        results in spec order.  Every call goes through the
+        :class:`~repro.campaignd.service.CampaignService`, which
+        resolves specs against the cache and journal, simulates the
+        rest on the chosen driver — in this process at one worker,
+        where a :class:`~repro.machine.traceshare.TraceShare`
+        generates each distinct trace once — and raises
+        :class:`~repro.parallel.executor.CampaignError` with the
+        partial results if any spec fails, chained to the first
+        failing spec's exception.
 
-        * without campaign features (one worker, no cache, sink,
-          progress, journal, driver or retries) it is exactly a loop
-          over :meth:`run` sharing one
-          :class:`~repro.machine.traceshare.TraceShare`, and a failing
-          spec raises its exception unwrapped;
-        * every other call goes through the
-          :class:`~repro.campaignd.service.CampaignService`, which
-          resolves specs against the cache and journal, simulates the
-          rest on the chosen driver, and raises
-          :class:`~repro.parallel.executor.CampaignError` with the
-          partial results if any spec fails.
-
-        ``workers`` is the legacy per-call keyword; ``options`` (a
-        :class:`~repro.options.RunOptions`) is the documented way to
-        set workers, caching, and observation per call.  ``labels``
-        optionally names each spec for trace events and observations.
+        ``options`` (a :class:`~repro.options.RunOptions`) overrides
+        the runner's own for this call; ``labels`` optionally names
+        each spec for trace events and observations.
         """
         specs = list(specs)
-        options = self._call_options(options, workers)
+        options = self._call_options(options)
         cache = self.cache
         if options is not self.options:
             # Per-call options own the cache decision outright: a
@@ -309,27 +261,6 @@ class ExperimentRunner:
                 cache = options.build_cache()
         if labels is None:
             labels = [None] * len(specs)
-        plain_serial = (
-            options.workers <= 1 and cache is None
-            and options.trace_sink is None and not options.progress
-            and options.journal is None and options.driver is None
-            and not options.retries
-        )
-        if plain_serial:
-            from repro.machine.traceshare import TraceShare, trace_key
-
-            traces = TraceShare.plan(
-                trace_key(workload, config.page_bytes, seed,
-                          options.chunk_refs, max_references)
-                for config, workload, seed, max_references in specs
-            )
-            return [
-                self.run(config, workload, seed=seed,
-                         max_references=max_references,
-                         label=label, options=options, traces=traces)
-                for (config, workload, seed, max_references), label
-                in zip(specs, labels)
-            ]
         from repro.campaignd import (
             CampaignService,
             LocalDriver,
@@ -342,7 +273,6 @@ class ExperimentRunner:
             RunCell(config, workload, seed=seed,
                     max_references=max_references,
                     sanitize=options.sanitize,
-                    chunk_refs=options.chunk_refs,
                     label=label,
                     observe=options.observe,
                     epoch_refs=options.epoch_refs)
@@ -373,25 +303,19 @@ class ExperimentRunner:
         ).run()
 
     def run_repetitions(self, config, workload, repetitions=5,
-                        max_references=None, workers=None,
-                        options=None):
-        """Independent repetitions with distinct seeds.
-
-        ``workers`` is the legacy keyword; pass ``options`` (a
-        :class:`~repro.options.RunOptions`) for the full knob set.
-        """
+                        max_references=None, options=None):
+        """Independent repetitions with distinct seeds."""
         return self.run_many(
             [
                 (config, workload, self.rep_seed(rep), max_references)
                 for rep in range(repetitions)
             ],
-            workers=workers,
             options=options,
             labels=[f"rep{rep}" for rep in range(repetitions)],
         )
 
     def run_matrix(self, points, repetitions=1, randomize=True,
-                   max_references=None, workers=None, options=None):
+                   max_references=None, options=None):
         """Run a list of ``(label, config, workload)`` points.
 
         Labels must be unique: duplicates would silently interleave
@@ -405,9 +329,6 @@ class ExperimentRunner:
         methodological fidelity.  Returns ``{label: [RunResult, ...]}``
         with repetitions in seed order regardless of execution order
         or worker count.
-
-        ``workers`` is the legacy keyword; pass ``options`` (a
-        :class:`~repro.options.RunOptions`) for the full knob set.
         """
         label_counts = Counter(label for label, _, _ in points)
         duplicates = [
@@ -432,7 +353,6 @@ class ExperimentRunner:
                 (config, workload, self.rep_seed(rep), max_references)
                 for _, config, workload, rep in cells
             ],
-            workers=workers,
             options=options,
             labels=[
                 f"{_label_text(label)}/rep{rep}" if repetitions > 1
@@ -452,35 +372,10 @@ def _label_text(label):
     return str(label)
 
 
-def _take(iterator, count):
-    """Yield at most ``count`` items."""
-    for index, item in enumerate(iterator):
-        if index >= count:
-            break
-        yield item
-
-
-def _generate_chunks(workload, page_bytes, seed, chunk_refs,
-                     max_references):
+def _generate_chunks(workload, page_bytes, seed, max_references):
     """Instantiate *workload*: its name, space map and capped chunks."""
     instance = workload.instantiate(page_bytes, seed=seed)
-    chunks = instance.access_chunks(chunk_refs)
+    chunks = instance.access_chunks(DEFAULT_CHUNK_REFS)
     if max_references is not None:
-        chunks = _take_chunks(chunks, max_references)
+        chunks = take_chunks(chunks, max_references)
     return instance.name, instance.space_map, chunks
-
-
-def _take_chunks(chunks, count):
-    """Yield at most ``count`` references' worth of flat chunks.
-
-    The final chunk is trimmed to land on exactly ``count`` total
-    references, matching what :func:`_take` does to the tuple stream.
-    """
-    remaining = count
-    for chunk in chunks:
-        pairs = len(chunk) >> 1
-        if pairs >= remaining:
-            yield chunk[:remaining * 2]
-            return
-        remaining -= pairs
-        yield chunk

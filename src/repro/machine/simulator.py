@@ -164,16 +164,8 @@ class SpurMachine:
             io_cycles=config.fault_timing.page_io
         )
         if vm is None:
-            vm = VirtualMemorySystem(
-                self.page_table,
-                space_map,
-                self.swap,
-                num_frames=config.num_frames,
-                wired_frames=config.wired_frames,
-                low_water=config.low_water,
-                high_water=config.high_water,
-                daemon_kind=config.daemon_kind,
-                inactive_fraction=config.inactive_fraction,
+            vm = VirtualMemorySystem.from_config(
+                config, self.page_table, space_map, self.swap
             )
             vm.attach_machine(self)
         self.vm = vm

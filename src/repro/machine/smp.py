@@ -60,14 +60,8 @@ class SmpSystem:
         )
         self.page_table = PageTable(layout)
         self.swap = SwapDevice(io_cycles=config.fault_timing.page_io)
-        self.vm = VirtualMemorySystem(
-            self.page_table,
-            space_map,
-            self.swap,
-            num_frames=config.num_frames,
-            wired_frames=config.wired_frames,
-            low_water=config.low_water,
-            high_water=config.high_water,
+        self.vm = VirtualMemorySystem.from_config(
+            config, self.page_table, space_map, self.swap
         )
 
         self.cpus = [
@@ -140,50 +134,17 @@ class SmpSystem:
 
     # -- execution ---------------------------------------------------------
 
-    def run_interleaved(self, streams, quantum=4096):
-        """Drive one reference stream per CPU, gang-interleaved.
-
-        Each round gives every CPU a ``quantum``-reference slice of
-        its stream (a crude but adequate stand-in for loosely
-        synchronised parallel execution — the snooping happens at
-        slice granularity).  Returns total references executed.
-        """
-        import itertools
-
-        if len(streams) != len(self.cpus):
-            raise ValueError(
-                f"need one stream per CPU "
-                f"({len(self.cpus)}), got {len(streams)}"
-            )
-        iterators = [iter(stream) for stream in streams]
-        live = list(range(len(iterators)))
-        total = 0
-        while live:
-            finished = []
-            for cpu_index in live:
-                batch = list(
-                    itertools.islice(iterators[cpu_index], quantum)
-                )
-                if batch:
-                    total += self.cpus[cpu_index].run(batch)
-                if len(batch) < quantum:
-                    finished.append(cpu_index)
-            for cpu_index in finished:
-                live.remove(cpu_index)
-        return total
-
     def run_interleaved_chunks(self, chunk_streams, quantum=4096):
-        """Chunked counterpart of :meth:`run_interleaved`.
+        """Drive one chunk stream per CPU, gang-interleaved.
 
         ``chunk_streams`` holds one flat-chunk iterator per CPU,
         chunked at ``quantum`` references (e.g.
-        ``instance.access_chunks(quantum)`` or
-        :func:`repro.workloads.base.chunk_accesses`).  Each round
-        feeds every live CPU its next whole chunk through
-        :meth:`SpurMachine.run_chunks` — the same quantum boundaries
-        the tuple path's ``islice`` batches produce, so results are
-        bit-identical.  A short (or missing) chunk retires its CPU
-        exactly as a short batch does.  Returns total references.
+        ``instance.access_chunks(quantum)``).  Each round feeds every
+        live CPU its next whole chunk through
+        :meth:`SpurMachine.run_chunks` — a crude but adequate
+        stand-in for loosely synchronised parallel execution, with
+        snooping at slice granularity.  A short (or missing) chunk
+        retires its CPU.  Returns total references.
         """
         if len(chunk_streams) != len(self.cpus):
             raise ValueError(

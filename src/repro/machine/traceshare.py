@@ -1,8 +1,8 @@
 """Batch-scoped trace sharing: generate each distinct trace once.
 
 A workload's reference stream is a pure function of its recipe, the
-page size, the seed, the chunk size and the reference cap, so cells
-of one batch that agree on all five consume the identical stream.  The
+page size, the seed and the reference cap, so cells of one batch that
+agree on all four consume the identical stream.  The
 paper's grids are built that way (Table 4.1 runs one WORKLOAD1 and one
 SLC trace under every memory size and reference-bit policy), and
 regenerating the stream per cell repeats the same draws.
@@ -32,22 +32,19 @@ from collections import Counter
 from repro.parallel.cache import CacheKeyError, workload_spec
 
 
-def trace_key(workload, page_bytes, seed, chunk_refs, max_references):
-    """The identity of one chunked reference stream, or ``None``.
+def trace_key(workload, page_bytes, seed, max_references):
+    """The identity of one reference stream, or ``None``.
 
-    Uses the workload rendering the result cache keys on.  The tuple
-    path (``chunk_refs`` 0) and recipes without a canonical rendering
-    (e.g. a recorded trace, whose path has none) get ``None``: they
-    generate per cell.
+    Uses the workload rendering the result cache keys on.  Recipes
+    without a canonical rendering (e.g. a recorded trace, whose path
+    has none) get ``None``: they generate per cell.
     """
-    if not chunk_refs:
-        return None
     try:
         spec = workload_spec(workload)
     except CacheKeyError:
         return None
     return json.dumps(
-        [spec, page_bytes, seed, chunk_refs, max_references],
+        [spec, page_bytes, seed, max_references],
         sort_keys=True, separators=(",", ":"),
     )
 
@@ -76,22 +73,17 @@ class TraceShare:
         share = cls(keys)
         return share if share._pending else None
 
-    def open(self, generate, workload, page_bytes, seed, chunk_refs,
-             max_references):
+    def open(self, generate, workload, page_bytes, seed, max_references):
         """``(name, space_map, chunks)`` for the next cell of the batch.
 
         ``generate`` is called with the other arguments and returns
         the same triple for a freshly instantiated, capped stream; it
         runs unless a recording of this cell's trace can be replayed.
         """
-        key = trace_key(
-            workload, page_bytes, seed, chunk_refs, max_references
-        )
+        key = trace_key(workload, page_bytes, seed, max_references)
         pending = self._pending.get(key, 0)
         if not pending:
-            return generate(
-                workload, page_bytes, seed, chunk_refs, max_references
-            )
+            return generate(workload, page_bytes, seed, max_references)
         pending -= 1
         if pending:
             self._pending[key] = pending
@@ -103,7 +95,7 @@ class TraceShare:
             name, space_map, chunks = recording
             return name, space_map, iter(chunks)
         name, space_map, chunks = generate(
-            workload, page_bytes, seed, chunk_refs, max_references
+            workload, page_bytes, seed, max_references
         )
         if pending:
             chunks = self._record(key, name, space_map, chunks)

@@ -1,29 +1,27 @@
 """RunOptions: one object carrying every execution knob.
 
-The multi-run entry points grew their knobs one keyword at a time —
-``workers``, ``chunk_refs``, ``cache``, ``sanitize`` — and the
-observability layer would have added four more to every signature.
-:class:`RunOptions` collects them all in a single frozen value that
-every driver accepts::
+:class:`RunOptions` collects every execution knob — workers, caching,
+sanitizing, observation, journaling, the campaign driver and its
+retries — in a single frozen value that every entry point accepts,
+and it is the only way to set them::
 
     options = RunOptions(workers=4, cache_dir=".cache",
                          observe=True, trace_sink=JsonlSink("t.jsonl"))
     runner = ExperimentRunner(options=options)
     run_table_3_3(options=options)
 
-The legacy keyword arguments remain on every entry point as a
-compatibility shim, but ``options`` is the documented API: when an
-``options`` object is passed it wins over the legacy keywords.
-
-None of these knobs may change what a run *measures*: workers, chunk
-size, caching, sanitizing, and observing all produce bit-identical
+None of these knobs may change what a run *measures*: workers,
+caching, sanitizing, and observing all produce bit-identical
 :class:`~repro.machine.runner.RunResult` values.  Options therefore
-never participate in result equality or cache keys.
+never participate in result equality or cache keys.  The chunk size
+is not a knob: every run streams
+:data:`~repro.workloads.base.DEFAULT_CHUNK_REFS`-reference chunks,
+readable as ``RunOptions.chunk_refs``.
 """
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.observe.series import DEFAULT_EPOCH_REFS
 from repro.workloads.base import DEFAULT_CHUNK_REFS
@@ -38,9 +36,6 @@ class RunOptions:
     workers:
         Worker-process count for multi-cell entry points; 1 runs
         in-process.
-    chunk_refs:
-        References per flat workload chunk (0 selects the legacy
-        per-tuple stream).  Bit-identical either way.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables
         caching.
@@ -76,7 +71,7 @@ class RunOptions:
         crash behaviour.
     driver:
         Campaign execution backend: ``None``/``"local"`` for the
-        in-process serial or pool path, ``"subprocess"`` for ``repro
+        in-process serial loop or process pool, ``"subprocess"`` for ``repro
         worker`` subprocesses sharding over the shared cache
         directory.  Results are bit-identical across drivers.
     retries:
@@ -90,8 +85,11 @@ class RunOptions:
         stuck worker).
     """
 
+    #: References per flat workload chunk every run streams; a
+    #: constant, not a field.
+    chunk_refs: ClassVar[int] = DEFAULT_CHUNK_REFS
+
     workers: int = 1
-    chunk_refs: int = DEFAULT_CHUNK_REFS
     cache_dir: Optional[str] = None
     use_cache: bool = True
     sanitize: Optional[str] = None
@@ -111,10 +109,6 @@ class RunOptions:
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.chunk_refs < 0:
-            raise ValueError(
-                f"chunk_refs must be >= 0, got {self.chunk_refs}"
             )
         if self.epoch_refs < 1:
             raise ValueError(

@@ -14,12 +14,15 @@ exits 1.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
 from repro.sanitize.sanitizer import MODES, Sanitizer
 from repro.sanitize.violation import InvariantViolation
+from repro.workloads.base import take_chunks
+
+#: References per CPU slice of a multiprocessor run.
+QUANTUM = 4096
 
 
 def build_parser():
@@ -73,20 +76,20 @@ def run_sanitized(args):
         sanitizer.attach(system)
         per_cpu = args.refs // args.cpus
         streams = [
-            list(itertools.islice(
+            take_chunks(
                 workload.instantiate(
                     config.page_bytes, seed=args.seed + cpu
-                ).accesses(),
+                ).access_chunks(QUANTUM),
                 per_cpu,
-            ))
+            )
             for cpu in range(args.cpus)
         ]
-        processed = system.run_interleaved(streams)
+        processed = system.run_interleaved_chunks(streams, QUANTUM)
     else:
         machine = SpurMachine(config, instance.space_map)
         sanitizer.attach(machine)
-        processed = machine.run(
-            itertools.islice(instance.accesses(), args.refs)
+        processed = machine.run_chunks(
+            take_chunks(instance.access_chunks(), args.refs)
         )
     sanitizer.check_now()
     elapsed = time.perf_counter() - started

@@ -116,6 +116,26 @@ class VirtualMemorySystem:
         self.stats = VmStats()
         self.machine = None  # set by SpurMachine.attach
 
+    @classmethod
+    def from_config(cls, config, page_table, space_map, swap):
+        """The VM a :class:`~repro.machine.config.MachineConfig` sizes.
+
+        The one place a machine's memory and page-daemon settings
+        become a VM, whether one processor owns it or an SMP system's
+        processors share it.
+        """
+        return cls(
+            page_table,
+            space_map,
+            swap,
+            num_frames=config.num_frames,
+            wired_frames=config.wired_frames,
+            low_water=config.low_water,
+            high_water=config.high_water,
+            daemon_kind=config.daemon_kind,
+            inactive_fraction=config.inactive_fraction,
+        )
+
     @property
     def page_bytes(self):
         return self.space_map.page_bytes

@@ -24,6 +24,8 @@ from repro.workloads.base import (
     Workload,
     WorkloadInstance,
     chunk_accesses,
+    iter_refs,
+    take_chunks,
 )
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
 from repro.workloads.mix import RoundRobinScheduler, SerialChain, serial
@@ -34,11 +36,7 @@ from repro.workloads.devsystems import (
     DevSystemProfile,
     DevSystemWorkload,
 )
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
-)
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 from repro.workloads.recorded import RecordedWorkload, record_workload
 from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.catalog import workload_by_name
@@ -63,10 +61,11 @@ __all__ = [
     "Workload1",
     "WorkloadInstance",
     "chunk_accesses",
-    "read_trace",
+    "iter_refs",
     "read_trace_chunks",
     "record_workload",
     "serial",
+    "take_chunks",
     "workload_by_name",
     "write_trace",
 ]

@@ -10,27 +10,19 @@ recorded (:mod:`repro.machine.traceshare`); process-pool workers
 never share traces.  Distinct seeds are how repetitions get
 fresh-but-reproducible randomness.
 
-Two stream protocols share one instance:
-
-``accesses()``
-    The original iterator of ``(kind, vaddr)`` int tuples.
-
-``access_chunks(chunk_refs)``
-    The batched protocol: an iterator of flat ``array('q')`` buffers
-    holding interleaved ``kind0, vaddr0, kind1, vaddr1, ...`` pairs.
-    Every chunk carries exactly ``chunk_refs`` references except the
-    last, which may be short, and is a fresh buffer the generator
-    never touches again, so a recording may keep it.  The chunked
-    hot loop in
-    :meth:`repro.machine.simulator.SpurMachine.run_chunks` consumes
-    these directly, amortising the per-reference interpreter overhead
-    that dominates the tuple path.
-
-Generators that know their own structure implement chunking natively
-(see :mod:`repro.workloads.synthetic` and :mod:`repro.workloads.mix`);
-:func:`chunk_accesses` adapts any legacy tuple iterator.  Both
-protocols emit the identical reference sequence, so simulation results
-are bit-identical regardless of which one a run uses.
+The stream is a chunk stream (:meth:`WorkloadInstance.access_chunks`):
+an iterator of flat ``array('q')`` buffers holding interleaved
+``kind0, vaddr0, kind1, vaddr1, ...`` pairs.  Every chunk carries
+exactly ``chunk_refs`` references except the last, which may be
+short, and is a fresh buffer the generator never touches again, so a
+recording may keep it.  The hot loop in
+:meth:`repro.machine.simulator.SpurMachine.run_chunks` consumes these
+directly.  :func:`take_chunks` caps a stream at a reference count,
+and :func:`iter_refs` turns one back into ``(kind, vaddr)`` tuples
+for the tuple consumers: the spec loop
+:meth:`~repro.machine.simulator.SpurMachine.run`, trace statistics and
+trace files.  :func:`chunk_accesses` goes the other way, for
+hand-built tuple traces.
 """
 
 from array import array
@@ -52,11 +44,10 @@ DEFAULT_CHUNK_REFS = 4096
 def chunk_accesses(accesses, chunk_refs=DEFAULT_CHUNK_REFS):
     """Batch a ``(kind, vaddr)`` iterator into flat ``array('q')`` chunks.
 
-    The generic fallback adapter behind ``access_chunks``: any legacy
-    iterator becomes a chunk stream with exactly ``chunk_refs``
-    references per chunk (the last may be short).  Consumes the
-    iterator as chunks are pulled, so a one-shot generator stays
-    one-shot.
+    Any tuple iterator becomes a chunk stream with exactly
+    ``chunk_refs`` references per chunk (the last may be short).
+    Consumes the iterator as chunks are pulled, so a one-shot
+    generator stays one-shot.
     """
     if chunk_refs <= 0:
         raise ValueError("chunk_refs must be positive")
@@ -74,6 +65,29 @@ def chunk_accesses(accesses, chunk_refs=DEFAULT_CHUNK_REFS):
         yield buf
 
 
+def iter_refs(chunks):
+    """Yield the ``(kind, vaddr)`` tuples a chunk stream encodes."""
+    for chunk in chunks:
+        it = iter(chunk)
+        yield from zip(it, it)
+
+
+def take_chunks(chunks, count):
+    """Yield at most ``count`` references' worth of flat chunks.
+
+    The final chunk is trimmed to land on exactly ``count`` total
+    references.
+    """
+    remaining = count
+    for chunk in chunks:
+        pairs = len(chunk) >> 1
+        if pairs >= remaining:
+            yield chunk[:remaining * 2]
+            return
+        remaining -= pairs
+        yield chunk
+
+
 class WorkloadInstance:
     """A bound, runnable workload.
 
@@ -88,40 +102,22 @@ class WorkloadInstance:
         Approximate number of references the stream will yield.
     """
 
-    def __init__(self, name, space_map, access_factory, length_hint,
-                 chunk_factory=None):
+    def __init__(self, name, space_map, chunk_factory, length_hint):
         self.name = name
         self.space_map = space_map
-        self._access_factory = access_factory
         self._chunk_factory = chunk_factory
         self.length_hint = length_hint
         self._consumed = False
 
-    def _claim(self):
+    def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
+        """The flat-buffer chunk stream.  One-shot per instance."""
         if self._consumed:
             raise RuntimeError(
                 "workload instance already consumed; instantiate a "
                 "fresh one per run"
             )
         self._consumed = True
-
-    def accesses(self):
-        """The ``(kind, vaddr)`` tuple stream.  One-shot per instance."""
-        self._claim()
-        return self._access_factory()
-
-    def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
-        """The flat-buffer chunk stream.  One-shot per instance.
-
-        Shares the consumption flag with :meth:`accesses`: a run uses
-        one protocol or the other, never both.  Generators with a
-        native chunk implementation are used directly; anything else
-        goes through the :func:`chunk_accesses` adapter.
-        """
-        self._claim()
-        if self._chunk_factory is not None:
-            return self._chunk_factory(chunk_refs)
-        return chunk_accesses(self._access_factory(), chunk_refs)
+        return self._chunk_factory(chunk_refs)
 
 
 class Workload:

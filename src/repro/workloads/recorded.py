@@ -18,12 +18,13 @@ import pathlib
 
 from repro.common.errors import TraceFormatError
 from repro.vm.segments import AddressSpaceMap, Region, RegionKind
-from repro.workloads.base import Workload, WorkloadInstance
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
+from repro.workloads.base import (
+    Workload,
+    WorkloadInstance,
+    iter_refs,
+    take_chunks,
 )
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 
 _REGIONS_MAGIC = "SPUR-REGIONS-1"
 
@@ -39,12 +40,10 @@ def record_workload(workload, page_bytes, trace_path, seed=0,
     Returns the number of references recorded.
     """
     instance = workload.instantiate(page_bytes, seed=seed)
-    accesses = instance.accesses()
+    chunks = instance.access_chunks()
     if max_references is not None:
-        import itertools
-
-        accesses = itertools.islice(accesses, max_references)
-    count = write_trace(trace_path, accesses)
+        chunks = take_chunks(chunks, max_references)
+    count = write_trace(trace_path, iter_refs(chunks))
 
     lines = [
         _REGIONS_MAGIC,
@@ -128,9 +127,8 @@ class RecordedWorkload(Workload):
         return WorkloadInstance(
             f"{self.name}@recorded",
             space_map,
-            lambda: read_trace(self.trace_path),
-            self.length_hint,
-            chunk_factory=lambda chunk_refs: read_trace_chunks(
+            lambda chunk_refs: read_trace_chunks(
                 self.trace_path, chunk_refs
             ),
+            self.length_hint,
         )

@@ -14,10 +14,8 @@ keeps Python-side generation cost far below the simulator's per-
 reference cost.
 
 Internally every burst, allocation touch, and file scan is one flat
-``array('q')`` *segment* of interleaved ``kind, vaddr`` pairs; the
-segment stream drives both the legacy tuple iterator (``accesses``)
-and the native chunk stream (``access_chunks``), so the two protocols
-consume the RNG identically and emit the identical sequence.
+``array('q')`` *segment* of interleaved ``kind, vaddr`` pairs, which
+:meth:`PhasedProcess.access_chunks` re-cuts into exact chunks.
 """
 
 from array import array
@@ -162,18 +160,11 @@ class PhasedProcess:
         self.burst_repeats = burst_repeats
         self.length_hint = sum(p.duration for p in self.phases)
 
-    def accesses(self):
-        """Yield ``(kind, vaddr)`` across all phases in order."""
-        for segment in self._segments():
-            it = iter(segment)
-            yield from zip(it, it)
-
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield flat ``array('q')`` chunks of ``chunk_refs`` references.
 
-        Same sequence as :meth:`accesses` (both drain
-        :meth:`_segments`); every chunk is exactly ``chunk_refs``
-        references except the last.
+        Drains :meth:`_segments` across all phases in order; every
+        chunk is exactly ``chunk_refs`` references except the last.
         """
         if chunk_refs <= 0:
             raise ValueError("chunk_refs must be positive")

@@ -7,7 +7,8 @@ without regeneration cost.
 
 Format: an 16-byte header (magic, version, record count) followed by
 one ``<BQ`` record per reference (kind byte, 64-bit virtual address),
-little endian throughout.
+little endian throughout.  Addresses stay below ``2**63``: traces are
+read back into signed ``array('q')`` chunks.
 """
 
 import struct
@@ -21,16 +22,25 @@ _MAGIC = b"SPURTRC1"
 _HEADER = struct.Struct("<8sQ")
 _RECORD = struct.Struct("<BQ")
 _CHUNK_RECORDS = 4096
+#: Largest address a signed ``array('q')`` chunk can carry.
+_MAX_VADDR = 2 ** 63 - 1
 
 
 def write_trace(path, accesses):
-    """Write ``(kind, vaddr)`` tuples to ``path``; returns the count."""
+    """Write ``(kind, vaddr)`` tuples to ``path``; returns the count.
+
+    Raises :class:`ValueError` for an address no chunk can carry.
+    """
     count = 0
     pack = _RECORD.pack
     with open(path, "wb") as stream:
         stream.write(_HEADER.pack(_MAGIC, 0))  # count patched below
         buffer = []
         for kind, vaddr in accesses:
+            if vaddr > _MAX_VADDR:
+                raise ValueError(
+                    f"address {vaddr:#x} does not fit a trace chunk"
+                )
             buffer.append(pack(kind, vaddr))
             count += 1
             if len(buffer) >= _CHUNK_RECORDS:
@@ -43,45 +53,13 @@ def write_trace(path, accesses):
     return count
 
 
-def read_trace(path):
-    """Yield ``(kind, vaddr)`` tuples from a trace file.
-
-    Raises
-    ------
-    TraceFormatError
-        On a bad magic number or a truncated file.
-    """
-    record = _RECORD
-    record_size = record.size
-    with open(path, "rb") as stream:
-        header = stream.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TraceFormatError(f"{path}: truncated header")
-        magic, count = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        remaining = count
-        while remaining > 0:
-            chunk = stream.read(record_size * min(remaining,
-                                                  _CHUNK_RECORDS))
-            if not chunk or len(chunk) % record_size:
-                raise TraceFormatError(
-                    f"{path}: truncated after "
-                    f"{count - remaining} of {count} records"
-                )
-            for offset in range(0, len(chunk), record_size):
-                yield record.unpack_from(chunk, offset)
-            remaining -= len(chunk) // record_size
-
-
 def read_trace_chunks(path, chunk_refs=DEFAULT_CHUNK_REFS):
     """Yield flat ``array('q')`` chunks of ``chunk_refs`` references.
 
-    The chunked counterpart of :func:`read_trace`: records are
-    bulk-unpacked straight into the interleaved ``kind, vaddr`` layout
-    the chunked hot loop consumes (a repeated ``<BQ`` struct unpacks
-    to exactly that flat sequence), skipping per-record tuple
-    construction entirely.
+    Records are bulk-unpacked straight into the interleaved ``kind,
+    vaddr`` layout the chunked hot loop consumes (a repeated ``<BQ``
+    struct unpacks to exactly that flat sequence), with no per-record
+    tuples.
 
     Raises
     ------

@@ -94,11 +94,12 @@ class TestSummary:
 
 class TestOnRealWorkload:
     def test_workload1_characterisation(self):
+        from repro.workloads.base import iter_refs
         from repro.workloads.workload1 import Workload1
 
         instance = Workload1(length_scale=0.01).instantiate(512)
         stats = analyze_trace(
-            instance.accesses(), page_bytes=512,
+            iter_refs(instance.access_chunks()), page_bytes=512,
             max_references=60_000, window=16_384,
         )
         # Fetch-dominated mix (instruction buffer disabled).

@@ -6,6 +6,7 @@ and integration tests run in microseconds while exercising the same
 code paths as the full configurations.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from repro.lint.pytest_plugin import (  # noqa: F401
 )
 from repro.sanitize.pytest_plugin import sanitizer  # noqa: F401
 from repro.machine.config import MachineConfig
+from repro.machine.runner import RunResult
 from repro.machine.simulator import SpurMachine
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace, RegionKind
+from repro.workloads.base import iter_refs, take_chunks
 
 #: Geometry constants for the tiny test machine.
 TINY_PAGE = 128
@@ -107,6 +110,63 @@ def fault_heavy_trace(regions, count, seed=0, slide_refs=100,
         else:
             refs.append((1, word(file_.start, file_.size)))
     return refs
+
+
+def spec_result(config, workload, seed=0, max_references=None):
+    """Oracle: the :class:`RunResult` of the spec loop.
+
+    A cold :class:`SpurMachine` runs the workload's stream through the
+    per-tuple :meth:`SpurMachine.run`, so the runner's chunked path
+    can be held against it cell by cell.
+    """
+    instance = workload.instantiate(config.page_bytes, seed=seed)
+    chunks = instance.access_chunks()
+    if max_references is not None:
+        chunks = take_chunks(chunks, max_references)
+    machine = SpurMachine(config, instance.space_map)
+    machine.run(iter_refs(chunks))
+    swap = machine.swap.stats
+    return RunResult(
+        workload=instance.name,
+        config_name=config.name,
+        memory_bytes=config.memory_bytes,
+        dirty_policy=machine.dirty_policy.name,
+        reference_policy=machine.reference_policy.name,
+        seed=seed,
+        references=machine.references,
+        cycles=machine.cycles,
+        events=machine.counters.snapshot().as_dict(),
+        page_ins=swap.page_ins,
+        page_outs=swap.page_outs,
+        zero_fills=swap.zero_fills,
+        potentially_modified=swap.potentially_modified,
+        not_modified=swap.not_modified,
+    )
+
+
+def spec_interleave(system, streams, quantum):
+    """Oracle: the SMP gang interleave over each CPU's spec ``run``.
+
+    Each round hands every live CPU of ``system`` the next
+    ``quantum``-reference slice of its ``(kind, vaddr)`` stream; a
+    short slice retires the CPU.  The chunked
+    :meth:`SmpSystem.run_interleaved_chunks` must match it bit for
+    bit.  Returns total references.
+    """
+    iterators = [iter(stream) for stream in streams]
+    live = list(range(len(iterators)))
+    total = 0
+    while live:
+        finished = []
+        for cpu_index in live:
+            batch = list(itertools.islice(iterators[cpu_index], quantum))
+            if batch:
+                total += system.cpus[cpu_index].run(batch)
+            if len(batch) < quantum:
+                finished.append(cpu_index)
+        for cpu_index in finished:
+            live.remove(cpu_index)
+    return total
 
 
 def make_machine(space_map=None, **overrides):

@@ -52,6 +52,7 @@ class TestCampaign:
 
     def test_matches_omniscient_single_run(self):
         from repro.machine.simulator import SpurMachine
+        from repro.workloads.base import iter_refs, take_chunks
 
         campaign = make_campaign(modes=(3,))
         events = campaign.execute(max_references=20_000)
@@ -60,8 +61,9 @@ class TestCampaign:
         workload = SlcWorkload(length_scale=0.01)
         instance = workload.instantiate(config.page_bytes, seed=0)
         machine = SpurMachine(config, instance.space_map)
-        import itertools
-        machine.run(itertools.islice(instance.accesses(), 20_000))
+        machine.run(iter_refs(
+            take_chunks(instance.access_chunks(), 20_000)
+        ))
 
         for event in MODE_SETS[3]:
             assert events[event] == machine.counters.read(event), event

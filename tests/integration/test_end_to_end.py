@@ -112,20 +112,21 @@ class TestHardwareCounterMethodology:
         # re-ran workloads per counter mode.  Shared events must agree.
         from repro.counters.counters import PerformanceCounters
         from repro.machine.simulator import SpurMachine
+        from repro.workloads.base import iter_refs
 
         config = scaled_config(memory_ratio=40)
         workload = SlcWorkload(length_scale=0.01)
 
         instance_a = workload.instantiate(config.page_bytes, seed=0)
         omni = SpurMachine(config, instance_a.space_map)
-        omni.run(instance_a.accesses())
+        omni.run(iter_refs(instance_a.access_chunks()))
 
         instance_b = workload.instantiate(config.page_bytes, seed=0)
         moded = SpurMachine(
             config, instance_b.space_map,
             counters=PerformanceCounters(mode=3),
         )
-        moded.run(instance_b.accesses())
+        moded.run(iter_refs(instance_b.access_chunks()))
 
         for event in (Event.DIRTY_FAULT, Event.DIRTY_BIT_MISS,
                       Event.WRITE_MISS_FILL, Event.PAGE_IN):

@@ -111,7 +111,7 @@ class TestCorruptedCapture:
         workload = RecordedWorkload(path)
         instance = workload.instantiate(512)
         with pytest.raises(TraceFormatError):
-            for _ in instance.accesses():
+            for _ in instance.access_chunks():
                 pass
 
 

@@ -1,13 +1,12 @@
-"""Chunked and legacy hot loops are bit-identical.
+"""The chunked hot loop is bit-identical to the spec loop.
 
-The contract behind ``run_chunks`` (and behind leaving ``chunk_refs``
-out of the result-cache key): for any workload, policy pair, and chunk
-size, the batched path produces exactly the same RunResult — counters,
-cycles, paging totals — and the same machine state as the tuple path.
+The contract behind ``run_chunks``: for any workload, policy pair, and
+chunk size, the batched path produces exactly the same RunResult —
+counters, cycles, paging totals — and the same machine state as the
+per-tuple spec :meth:`SpurMachine.run` over the same references.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 
@@ -34,6 +33,8 @@ from tests.conftest import (
     TINY_CACHE,
     fault_heavy_trace,
     simple_space,
+    spec_interleave,
+    spec_result,
     tiny_config,
 )
 
@@ -99,7 +100,7 @@ class TestRunResultCrossProduct:
             memory_ratio=24, scale=8,
             dirty_policy=dirty, reference_policy=ref,
         )
-        legacy = ExperimentRunner(chunk_refs=0).run(
+        legacy = spec_result(
             config, make_workload(workload_name, recorded_trace),
             seed=1, max_references=2000,
         )
@@ -351,8 +352,8 @@ class TestSmpInterleaving:
             return system, streams
 
         legacy_system, streams = build()
-        total_legacy = legacy_system.run_interleaved(
-            streams, quantum=512
+        total_legacy = spec_interleave(
+            legacy_system, streams, quantum=512
         )
 
         chunked_system, streams = build()
@@ -476,7 +477,7 @@ class TestFaultPaths:
             return system, streams
 
         legacy, streams = build()
-        legacy.run_interleaved(streams, quantum=256)
+        spec_interleave(legacy, streams, quantum=256)
         chunked, streams = build()
         chunked.run_interleaved_chunks(
             [chunk_accesses(iter(stream), 256) for stream in streams],

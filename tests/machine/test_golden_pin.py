@@ -36,7 +36,12 @@ from repro.workloads.base import chunk_accesses
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
 
-from tests.conftest import fault_heavy_trace, simple_space, tiny_config
+from tests.conftest import (
+    fault_heavy_trace,
+    simple_space,
+    spec_interleave,
+    tiny_config,
+)
 
 SEED = 3
 REFS = 6000
@@ -309,7 +314,7 @@ def run_smp_cell(dirty, chunked):
             quantum=SMP_QUANTUM,
         )
     else:
-        system.run_interleaved(streams, quantum=SMP_QUANTUM)
+        spec_interleave(system, streams, quantum=SMP_QUANTUM)
     return system
 
 
@@ -328,7 +333,7 @@ def smp_digest(system):
 
 
 @pytest.mark.parametrize("chunked", [False, True],
-                         ids=["run_interleaved", "run_interleaved_chunks"])
+                         ids=["spec_interleave", "run_interleaved_chunks"])
 @pytest.mark.parametrize("dirty", SMP_POLICIES)
 def test_smp_fault_heavy_cells_match_golden(dirty, chunked):
     system = run_smp_cell(dirty, chunked)

@@ -9,6 +9,7 @@ from repro.machine.runner import ExperimentRunner
 from repro.observe.sinks import MemorySink
 from repro.options import RunOptions
 from repro.parallel.cache import ResultCache
+from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.slc import SlcWorkload
 
 CONFIG = scaled_config(memory_ratio=24, scale=8)
@@ -24,7 +25,6 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"workers": -2},
-        {"chunk_refs": -1},
         {"epoch_refs": 0},
         {"sanitize": "bogus"},
     ])
@@ -69,28 +69,37 @@ class TestValidation:
 
 
 class TestRunnerAcceptsOptions:
-    def test_options_equal_legacy_kwargs(self):
-        legacy = run_with(ExperimentRunner(chunk_refs=0))
-        modern = run_with(
-            ExperimentRunner(options=RunOptions(chunk_refs=0))
-        )
-        assert modern == legacy
+    def test_chunk_size_is_a_constant_not_a_field(self):
+        assert RunOptions.chunk_refs == DEFAULT_CHUNK_REFS
+        assert RunOptions().chunk_refs == DEFAULT_CHUNK_REFS
+        assert "chunk_refs" not in {
+            field.name for field in dataclasses.fields(RunOptions)
+        }
+        with pytest.raises(TypeError):
+            RunOptions(chunk_refs=0)
 
-    def test_options_win_over_legacy_kwargs(self):
-        runner = ExperimentRunner(
-            chunk_refs=0, sanitize="full",
-            options=RunOptions(chunk_refs=4096),
-        )
-        assert runner.chunk_refs == 4096
-        assert runner.sanitize is None
+    @pytest.mark.parametrize("kwargs", [
+        {"chunk_refs": 0}, {"sanitize": "full"}, {"cache": None},
+    ])
+    def test_runner_takes_options_only(self, kwargs):
+        with pytest.raises(TypeError):
+            ExperimentRunner(**kwargs)
 
-    def test_explicit_cache_object_wins(self, tmp_path):
-        mine = ResultCache(str(tmp_path / "mine"))
+    def test_multi_run_entry_points_take_no_workers_keyword(self):
+        runner = ExperimentRunner()
+        with pytest.raises(TypeError):
+            runner.run_many([], workers=2)
+        with pytest.raises(TypeError):
+            runner.run_repetitions(CONFIG, SlcWorkload(), workers=2)
+        with pytest.raises(TypeError):
+            runner.run_matrix([], workers=2)
+
+    def test_runner_cache_comes_from_options(self, tmp_path):
         runner = ExperimentRunner(
-            cache=mine,
-            options=RunOptions(cache_dir=str(tmp_path / "other")),
+            options=RunOptions(cache_dir=str(tmp_path))
         )
-        assert runner.cache is mine
+        assert isinstance(runner.cache, ResultCache)
+        assert ExperimentRunner().cache is None
 
     def test_per_call_options_override_runner(self):
         runner = ExperimentRunner()
@@ -107,8 +116,10 @@ class TestRunnerAcceptsOptions:
         # Regression: per-call use_cache=False used to bypass only
         # the options' own cache_dir, leaving the runner-level cache
         # active for the call.
-        cache = ResultCache(str(tmp_path))
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         specs = [(CONFIG, SlcWorkload(length_scale=0.01), 1,
                   MAX_REFS)]
         fresh = runner.run_many(
@@ -119,13 +130,6 @@ class TestRunnerAcceptsOptions:
         cached = runner.run_many(specs)
         assert cache.misses == 1
         assert cached == fresh
-
-    def test_legacy_workers_keyword_still_wins(self):
-        runner = ExperimentRunner()
-        resolved = runner._call_options(RunOptions(workers=4),
-                                        workers=2)
-        assert resolved.workers == 2
-        assert runner._call_options(None).workers == 1
 
 
 class TestDriversAcceptOptions:

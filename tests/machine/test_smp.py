@@ -4,7 +4,8 @@ import pytest
 
 from repro.counters.events import Event
 from repro.machine.smp import SmpSystem
-from repro.workloads.base import READ, WRITE
+from repro.vm.segfifo import SegmentedFifoDaemon
+from repro.workloads.base import READ, WRITE, chunk_accesses
 
 from tests.conftest import TINY_PAGE, simple_space, tiny_config
 
@@ -25,6 +26,19 @@ class TestConstruction:
         assert len({id(cpu.vm) for cpu in system.cpus}) == 1
         assert all(cpu.system is system for cpu in system.cpus)
         assert len(system.bus.caches) == 3
+
+    def test_page_daemon_follows_the_config(self):
+        # The shared VM is built from the config the way a
+        # uniprocessor's is: the daemon kind and the inactive-list
+        # share carry over to a multiprocessor.
+        system, _ = build_system(
+            2, daemon_kind="segfifo", inactive_fraction=0.5
+        )
+        daemon = system.vm.daemon
+        assert isinstance(daemon, SegmentedFifoDaemon)
+        allocatable = system.vm.frame_table.allocatable_frames
+        assert daemon.inactive_target == max(2, int(allocatable * 0.5))
+        assert all(cpu.vm.daemon is daemon for cpu in system.cpus)
 
     def test_board_count_limits(self):
         with pytest.raises(ValueError):
@@ -99,14 +113,17 @@ class TestInterleavedExecution:
             [(WRITE, heap + 8 * TINY_PAGE + (i * 32) % (4 * TINY_PAGE))
              for i in range(300)],
         ]
-        total = system.run_interleaved(streams, quantum=64)
+        total = system.run_interleaved_chunks(
+            [chunk_accesses(stream, 64) for stream in streams],
+            quantum=64,
+        )
         assert total == 800
         assert system.references == 800
 
     def test_stream_count_must_match_cpus(self):
         system, _ = build_system(2)
         with pytest.raises(ValueError):
-            system.run_interleaved([[]])
+            system.run_interleaved_chunks([[]])
 
     def test_more_cpus_more_bus_traffic_on_shared_data(self):
         results = {}
@@ -121,7 +138,10 @@ class TestInterleavedExecution:
                 ]
                 for c in range(num_cpus)
             ]
-            system.run_interleaved(streams, quantum=32)
+            system.run_interleaved_chunks(
+                [chunk_accesses(stream, 32) for stream in streams],
+                quantum=32,
+            )
             results[num_cpus] = system.bus.snoop_hits
         assert results[4] > results[1]
 

@@ -1,4 +1,4 @@
-"""Batch-scoped trace sharing in the serial ``run_many`` routes.
+"""Batch-scoped trace sharing in serial ``run_many`` batches.
 
 A serial batch generates each distinct trace once: the first cell of a
 recurring key records its chunks, later cells replay them on a fresh
@@ -94,39 +94,34 @@ def _chunks(count, chunk_refs):
 
 class TestTraceKey:
     def test_equal_inputs_share_a_key(self):
-        assert (trace_key(Workload1(length_scale=TINY), PAGE, 0, 256, CAP)
-                == trace_key(Workload1(length_scale=TINY), PAGE, 0, 256,
-                             CAP))
+        assert (trace_key(Workload1(length_scale=TINY), PAGE, 0, CAP)
+                == trace_key(Workload1(length_scale=TINY), PAGE, 0, CAP))
 
     @pytest.mark.parametrize("change", [
-        {"page_bytes": 1024}, {"seed": 1}, {"chunk_refs": 512},
+        {"page_bytes": 1024}, {"seed": 1},
         {"max_references": CAP + 1}, {"max_references": None},
         {"workload": Workload1(length_scale=2 * TINY)},
         {"workload": SlcWorkload(length_scale=TINY)},
     ])
     def test_any_input_change_moves_the_key(self, change):
         base = dict(workload=Workload1(length_scale=TINY),
-                    page_bytes=PAGE, seed=0, chunk_refs=256,
-                    max_references=CAP)
+                    page_bytes=PAGE, seed=0, max_references=CAP)
         assert trace_key(**base) != trace_key(**{**base, **change})
 
-    def test_tuple_path_and_recorded_traces_have_no_key(self, tmp_path):
+    def test_recorded_traces_have_no_key(self, tmp_path):
         path = tmp_path / "slc.trace"
         record_workload(SlcWorkload(length_scale=TINY), PAGE, path,
                         max_references=CAP)
-        assert trace_key(Workload1(), PAGE, 0, 0, None) is None
-        assert trace_key(RecordedWorkload(path), PAGE, 0, 256,
-                         None) is None
+        assert trace_key(RecordedWorkload(path), PAGE, 0, None) is None
 
 
 class TestTraceShareLifetime:
     def open(self, share, key, generated):
-        def generate(workload, page_bytes, seed, chunk_refs, cap):
+        def generate(workload, page_bytes, seed, cap):
             generated.append(key)
-            return key, "map", _chunks(10, chunk_refs)
+            return key, "map", _chunks(10, 4)
 
-        name, space_map, chunks = share.open(generate, key, PAGE, 0, 4,
-                                              None)
+        name, space_map, chunks = share.open(generate, key, PAGE, 0, None)
         return list(chunks)
 
     def test_plan_is_none_without_a_recurring_key(self):
@@ -161,22 +156,22 @@ class TestTraceShareLifetime:
         share = TraceShare(["a", "a"])
         generated = []
 
-        def generate(workload, page_bytes, seed, chunk_refs, cap):
+        def generate(workload, page_bytes, seed, cap):
             generated.append(workload)
-            return workload, "map", _chunks(10, chunk_refs)
+            return workload, "map", _chunks(10, 4)
 
-        _, _, chunks = share.open(generate, "a", PAGE, 0, 4, None)
+        _, _, chunks = share.open(generate, "a", PAGE, 0, None)
         next(chunks)
         chunks.close()  # the run raised after one chunk
         assert share.recorded_keys() == set()
-        _, _, chunks = share.open(generate, "a", PAGE, 0, 4, None)
+        _, _, chunks = share.open(generate, "a", PAGE, 0, None)
         assert len(list(chunks)) == 3
         assert generated == ["a", "a"]
         assert share.recorded_keys() == set()
 
 
 class TestSerialBatches:
-    @pytest.mark.parametrize("route", ["plain", "service"])
+    @pytest.mark.parametrize("route", ["plain", "cached"])
     def test_one_instantiation_per_distinct_trace(
             self, instantiations, tmp_path, route):
         options = (RunOptions() if route == "plain"
@@ -202,20 +197,12 @@ class TestSerialBatches:
         assert instantiations == []
         assert results == fresh_results(specs)
 
-    def test_tuple_path_generates_per_cell(self, instantiations):
-        specs = repeated_specs()[:2] * 2
-        results = ExperimentRunner(
-            options=RunOptions(chunk_refs=0)
-        ).run_many(specs)
-        assert len(instantiations) == len(specs)
-        assert results == fresh_results(specs)
-
     def test_no_recording_outlives_its_last_use(self, held_after_each_run):
         specs = repeated_specs()
         specs.insert(2, (config(), Workload1(length_scale=TINY), 9, CAP))
         ExperimentRunner().run_many(specs)
         workload1, slc, once = (
-            trace_key(workload, PAGE, seed, RunOptions().chunk_refs, cap)
+            trace_key(workload, PAGE, seed, cap)
             for _, workload, seed, cap in specs[:3]
         )
         assert held_after_each_run == [
@@ -224,24 +211,13 @@ class TestSerialBatches:
         ]
         assert once not in set().union(*held_after_each_run)
 
-    def test_caps_and_chunk_sizes_never_share(self, instantiations):
+    def test_caps_never_share(self, instantiations):
         workload = Workload1(length_scale=TINY)
         specs = [(config(policy), workload, 0, cap)
                  for cap in (2000, 2500) for policy in ("MISS", "REF")]
-        runner = ExperimentRunner()
-        capped = runner.run_many(specs)
+        capped = ExperimentRunner().run_many(specs)
         assert len(instantiations) == 2
         assert capped == fresh_results(specs)
-        del instantiations[:]
-        cells = [
-            RunCell(config(policy), workload, max_references=2000,
-                    chunk_refs=chunk_refs)
-            for chunk_refs in (256, 1024) for policy in ("MISS", "REF")
-        ]
-        chunked = execute_cells(cells)
-        assert len(instantiations) == 2
-        assert chunked[0::2] == [capped[0]] * 2
-        assert chunked[1::2] == [capped[1]] * 2
 
     def test_recorded_workload_batch_runs_unshared(
             self, tmp_path, monkeypatch):
@@ -285,8 +261,7 @@ class TestTornStreams:
                     max_references=2000, label=policy)
             for policy in ("MISS", "REF", "NOREF")
         ]
-        doomed = RunCell(config(), _ExplodingWorkload(), label="doomed",
-                         chunk_refs=256)
+        doomed = RunCell(config(), _ExplodingWorkload(), label="doomed")
         return [good[0], doomed, good[1],
                 dataclasses.replace(doomed, label="doomed again"),
                 good[2]]

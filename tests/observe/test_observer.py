@@ -156,7 +156,10 @@ class TestSmpSampling:
         system = SmpSystem(tiny_config(), space_map, num_cpus=2)
         observer = observe(system, epoch_refs=400, label="smp")
         streams = [heap_trace(regions, 900), heap_trace(regions, 600)]
-        total = system.run_interleaved(streams, quantum=128)
+        total = system.run_interleaved_chunks(
+            [chunk_accesses(stream, 128) for stream in streams],
+            quantum=128,
+        )
         observation = observer.finish()
 
         assert total == 1500

@@ -5,7 +5,7 @@ workload x dirty-policy x reference-policy grid the chunked-equivalence
 suite uses: attaching a RunObserver (which re-segments the reference
 stream at epoch boundaries) must leave every counter, cycle count, and
 VM total of the RunResult exactly as an unobserved run produces them —
-on the chunked path, the legacy tuple path, and SMP systems alike.
+on the chunked path, against the spec loop, and on SMP systems alike.
 """
 
 import dataclasses
@@ -16,9 +16,14 @@ from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.smp import SmpSystem
 from repro.options import RunOptions
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ, WRITE, chunk_accesses
 
-from tests.conftest import simple_space, tiny_config
+from tests.conftest import (
+    simple_space,
+    spec_interleave,
+    spec_result,
+    tiny_config,
+)
 from tests.machine.test_chunked_equivalence import (
     DIRTY_POLICIES,
     REFERENCE_POLICIES,
@@ -78,14 +83,14 @@ class TestObservedEqualsUnobserved:
         assert plain.observation is None
         check_observation(observed)
 
-    def test_legacy_tuple_path(self, recorded_trace):
+    def test_observed_equals_spec_loop(self, recorded_trace):
         config = grid_config("SPUR", "MISS")
-        plain = ExperimentRunner(chunk_refs=0).run(
+        plain = spec_result(
             config, make_workload("slc", recorded_trace),
             seed=1, max_references=2000,
         )
         observed = ExperimentRunner(options=RunOptions(
-            chunk_refs=0, observe=True, epoch_refs=EPOCH_REFS,
+            observe=True, epoch_refs=EPOCH_REFS,
         )).run(
             config, make_workload("slc", recorded_trace),
             seed=1, max_references=2000,
@@ -128,13 +133,13 @@ class TestSmpObservedEqualsUnobserved:
         from repro.observe.observer import observe
 
         plain_system, streams = self.build()
-        total_plain = plain_system.run_interleaved(streams,
-                                                   quantum=512)
+        total_plain = spec_interleave(plain_system, streams, quantum=512)
 
         observed_system, streams = self.build()
         observer = observe(observed_system, epoch_refs=1000)
-        total_observed = observed_system.run_interleaved(
-            streams, quantum=512
+        total_observed = observed_system.run_interleaved_chunks(
+            [chunk_accesses(stream, 512) for stream in streams],
+            quantum=512,
         )
         observation = observer.finish()
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.options import RunOptions
 from repro.parallel import ResultCache, RunCell, execute_cells
 from repro.policies.reference import REFERENCE_POLICY_NAMES
 from repro.workloads.slc import SlcWorkload
@@ -61,7 +62,8 @@ class TestParallelEquivalence:
             points, repetitions=2, max_references=MAX_REFS,
         )
         parallel = ExperimentRunner().run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=4,
+            points, repetitions=2, max_references=MAX_REFS,
+            options=RunOptions(workers=4),
         )
         assert_matrices_identical(serial, parallel)
 
@@ -75,7 +77,8 @@ class TestParallelEquivalence:
         parallel = runner.run_repetitions(
             scaled_config(memory_ratio=40),
             SlcWorkload(length_scale=TINY_SCALE),
-            repetitions=3, max_references=MAX_REFS, workers=3,
+            repetitions=3, max_references=MAX_REFS,
+            options=RunOptions(workers=3),
         )
         assert serial == parallel
         assert [r.seed for r in parallel] == [0, 1, 2]
@@ -94,16 +97,18 @@ class TestParallelEquivalence:
 class TestCachedMatrix:
     def test_warm_cache_simulates_zero_cells(self, tmp_path):
         points = table_4_1_points()
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(workers=2, cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         first = runner.run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=2,
+            points, repetitions=2, max_references=MAX_REFS,
         )
         cells = 2 * len(points)
         assert cache.stores == cells
         assert cache.hits == 0
         second = runner.run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=2,
+            points, repetitions=2, max_references=MAX_REFS,
         )
         # Every cell hit: nothing was re-simulated, nothing re-stored.
         assert cache.hits == cells
@@ -115,8 +120,10 @@ class TestCachedMatrix:
         uncached = ExperimentRunner().run_matrix(
             points, repetitions=1, max_references=MAX_REFS,
         )
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         runner.run_matrix(points, repetitions=1,
                           max_references=MAX_REFS)
         reloaded = runner.run_matrix(points, repetitions=1,
@@ -126,8 +133,10 @@ class TestCachedMatrix:
 
     def test_config_change_invalidates_only_changed_cells(
             self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         workload = SlcWorkload(length_scale=TINY_SCALE)
         base = [("a", scaled_config(memory_ratio=40), workload),
                 ("b", scaled_config(memory_ratio=48), workload)]
@@ -172,11 +181,14 @@ class TestSweepDriverParallel:
             )
 
         serial = build(ExperimentRunner()).run()
-        parallel = build(ExperimentRunner()).run(workers=2)
+        pooled = RunOptions(workers=2)
+        parallel = build(ExperimentRunner()).run(options=pooled)
         assert serial == parallel
-        cache = ResultCache(tmp_path)
-        cached_driver = build(ExperimentRunner(cache=cache))
-        cached_driver.run(workers=2)
-        again = cached_driver.run(workers=2)
-        assert cache.hits == 2
+        runner = ExperimentRunner(
+            options=pooled.replace(cache_dir=str(tmp_path))
+        )
+        cached_driver = build(runner)
+        cached_driver.run()
+        again = cached_driver.run()
+        assert runner.cache.hits == 2
         assert again == serial

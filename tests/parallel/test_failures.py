@@ -182,13 +182,14 @@ class TestPooledFailures:
 
 
 class TestRunnerSurface:
-    def test_run_many_raises_campaign_error(self, broken_workload):
-        # Any campaign feature (sink, progress, cache, workers > 1)
-        # routes run_many through the campaign service and its
-        # graceful failure handling.
-        runner = ExperimentRunner(options=RunOptions(
-            trace_sink=MemorySink(),
-        ))
+    @pytest.mark.parametrize("traced", [True, False],
+                             ids=["traced", "serial"])
+    def test_run_many_raises_campaign_error(self, broken_workload,
+                                            traced):
+        # Every run_many call, plain serial included, goes through the
+        # campaign service and its graceful failure handling.
+        options = RunOptions(trace_sink=MemorySink() if traced else None)
+        runner = ExperimentRunner(options=options)
         with pytest.raises(CampaignError) as excinfo:
             runner.run_many(
                 [
@@ -201,13 +202,16 @@ class TestRunnerSurface:
         (failure,) = excinfo.value.failures
         assert failure.label == "doomed"
         assert excinfo.value.results[0].references > 0
+        assert excinfo.value.results[1] is None
 
-    def test_plain_serial_run_many_keeps_raw_exception(
+    def test_serial_run_many_chains_the_cell_exception(
         self, broken_workload
     ):
-        # Without campaign features the legacy fast path is taken and
-        # exceptions propagate unwrapped, as they always have.
-        with pytest.raises(FileNotFoundError):
+        # The failing cell's own exception rides along as the cause,
+        # so a serial traceback still ends at the raise site.
+        with pytest.raises(CampaignError) as excinfo:
             ExperimentRunner().run_many([
                 (CONFIG, broken_workload, 9, MAX_REFS),
             ])
+        assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+        assert "FileNotFoundError" in excinfo.value.failures[0].error

@@ -1,18 +1,17 @@
 """The pooled ``run_many``/``execute_cells`` route through the service.
 
-Every call with a campaign feature — here ``workers=2`` — runs through
+Every call runs through
 :class:`~repro.campaignd.service.CampaignService` on a
-:class:`~repro.campaignd.drivers.LocalDriver`.  Its contract
-(docs/parallel.md): results bit-identical to the plain serial loop
-over :meth:`~repro.machine.runner.ExperimentRunner.run` — same
-counters, cycles, page traffic and cached-result keys — across the
-full dirty x reference policy grid, poll schedules, trimmed streams,
-observation and sanitizer modes.  The chunked machine under it
-matches the spec tuple loop per dirty policy.
+:class:`~repro.campaignd.drivers.LocalDriver`, in process at one
+worker or over a pool at ``workers=2``.  Its contract
+(docs/parallel.md): pooled results bit-identical to the serial ones —
+same counters, cycles, page traffic and cached-result keys — across
+the full dirty x reference policy grid, poll schedules, trimmed
+streams, observation and sanitizer modes.  The chunked machine under
+it matches the spec tuple loop per dirty policy.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.parallel.executor import (
 )
 from repro.policies.costs import DIRTY_POLICY_NAMES
 from repro.policies.reference import REFERENCE_POLICY_NAMES
+from repro.workloads.base import iter_refs, take_chunks
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
 
@@ -145,7 +145,7 @@ def spec_machine(config, seed, max_refs=MAX_REFS):
         config.page_bytes, seed=seed
     )
     machine = SpurMachine(config, instance.space_map)
-    machine.run(itertools.islice(instance.accesses(), max_refs))
+    machine.run(iter_refs(take_chunks(instance.access_chunks(), max_refs)))
     return machine
 
 
@@ -220,9 +220,6 @@ class _ExplodingInstance:
                 raise RuntimeError("stream torn mid-run")
             yield chunk
 
-    def accesses(self):
-        return self.inner.accesses()
-
 
 class TestPoolCampaign:
     def test_pool_matches_serial(self):
@@ -244,7 +241,7 @@ class TestPoolCampaign:
             cells[0],
             workload=_ExplodingWorkload(),
             label="doomed",
-            chunk_refs=256,  # the stream tears after one chunk
+            max_references=None,  # the stream tears after one chunk
         ))
         with pytest.raises(CampaignError) as excinfo:
             execute_cells(cells, workers=workers)

@@ -27,7 +27,13 @@ from repro.policies.reference import REFERENCE_POLICY_NAMES
 from repro.sanitize import sanitizer as sanitize_mod
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 
-from tests.conftest import BLOCK, TINY_PAGE, simple_space, tiny_config
+from tests.conftest import (
+    BLOCK,
+    TINY_PAGE,
+    simple_space,
+    spec_interleave,
+    tiny_config,
+)
 from tests.machine.test_chunked_equivalence import machine_state
 
 references = st.lists(
@@ -104,7 +110,7 @@ def test_two_cpu_chunks_match_spec_interleave(streams, quantum, dirty,
         return system, [heap_trace(regions, refs) for refs in streams]
 
     spec, traces = build()
-    spec.run_interleaved(traces, quantum=quantum)
+    spec_interleave(spec, traces, quantum=quantum)
 
     chunked, traces = build()
     guard = sanitize_mod.attach(chunked, mode="full")

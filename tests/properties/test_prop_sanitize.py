@@ -15,7 +15,12 @@ from repro.machine.smp import SmpSystem
 from repro.sanitize import Sanitizer
 from repro.workloads.base import IFETCH, READ, WRITE
 
-from tests.conftest import TINY_PAGE, simple_space, tiny_config
+from tests.conftest import (
+    TINY_PAGE,
+    simple_space,
+    spec_interleave,
+    tiny_config,
+)
 
 #: Pages per region the generated offsets stay inside (the tiny
 #: address space's heap has 32 pages, code 4, stack 2).
@@ -56,7 +61,7 @@ def test_legal_mp_streams_never_violate(num_cpus, per_cpu, quantum):
     streams = [
         materialise(per_cpu[cpu], regions) for cpu in range(num_cpus)
     ]
-    system.run_interleaved(streams, quantum=quantum)
+    spec_interleave(system, streams, quantum=quantum)
     sanitizer.check_now()
 
 

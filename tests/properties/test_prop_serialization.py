@@ -3,12 +3,18 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.latex import escape
-from repro.workloads.tracefile import read_trace, write_trace
+from repro.workloads.base import iter_refs
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 
+#: Every address a trace chunk can carry (signed 64-bit, non-negative).
 references = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 2**64 - 1)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2**63 - 1)),
     max_size=300,
 )
+
+
+def read_trace(path):
+    return iter_refs(read_trace_chunks(path, 64))
 
 
 @settings(max_examples=50, deadline=None)

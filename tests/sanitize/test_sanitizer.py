@@ -9,7 +9,7 @@ from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
 from repro.machine.smp import SmpSystem
 from repro.sanitize import InvariantViolation, MODES, Sanitizer, attach
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ, WRITE, chunk_accesses
 
 from tests.conftest import make_machine, simple_space, tiny_config
 
@@ -173,7 +173,9 @@ class TestMultiprocessor:
             [(READ, heap + cpu * 512 + i * 4) for i in range(32)]
             for cpu in range(2)
         ]
-        system.run_interleaved(streams, quantum=8)
+        system.run_interleaved_chunks(
+            [chunk_accesses(stream, 8) for stream in streams], quantum=8
+        )
         sanitizer.check_now()
         assert sanitizer.sweeps >= 1
 
@@ -182,7 +184,9 @@ class TestMultiprocessor:
         system = SmpSystem(tiny_config(), space_map, num_cpus=2)
         sanitizer = attach(system, mode="epoch")
         heap = regions["heap"].start
-        system.run_interleaved([[(READ, heap)], [(READ, heap)]])
+        system.run_interleaved_chunks(
+            [chunk_accesses([(READ, heap)]) for _ in system.cpus]
+        )
         for cpu in system.cpus:
             index = cpu.cache.probe(heap)
             assert index >= 0

@@ -1,12 +1,10 @@
-"""The flat-buffer chunk protocol matches the tuple protocol exactly.
+"""The flat-buffer chunk protocol.
 
-Every generator family is checked both ways: the chunk stream must
-flatten to the identical reference sequence ``accesses()`` yields, and
-chunk sizing must follow the protocol — exactly ``chunk_refs``
-references per chunk, except a short final chunk.
+Chunk sizing must follow the protocol — exactly ``chunk_refs``
+references per chunk, except a short final chunk — and the reference
+sequence must not depend on the chunk size.  What the sequence is, is
+pinned absolutely in ``test_stream_pins.py``.
 """
-
-import itertools
 
 from array import array
 
@@ -19,23 +17,19 @@ from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace
 from repro.workloads.base import (
     DEFAULT_CHUNK_REFS,
     READ,
-    WRITE,
     WorkloadInstance,
     chunk_accesses,
+    iter_refs,
+    take_chunks,
 )
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
 )
 from repro.workloads.mix import RoundRobinScheduler, serial
-from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
-)
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 from repro.workloads.workload1 import Workload1
 
 PAGE = 512
@@ -43,11 +37,7 @@ PAGE = 512
 
 def flatten(chunks):
     """The ``(kind, vaddr)`` sequence a chunk stream encodes."""
-    refs = []
-    for chunk in chunks:
-        it = iter(chunk)
-        refs.extend(zip(it, it))
-    return refs
+    return list(iter_refs(chunks))
 
 
 def chunk_ref_counts(chunks):
@@ -84,35 +74,53 @@ class TestChunkAccessesAdapter:
         assert len(list(source)) == 90
 
 
+class TestRefAdapters:
+    def test_iter_refs_inverts_chunk_accesses(self):
+        refs = [(i % 3, i * 32) for i in range(1000)]
+        assert flatten(chunk_accesses(iter(refs), 77)) == refs
+
+    def test_iter_refs_of_nothing(self):
+        assert flatten([]) == []
+        assert flatten([array("q")]) == []
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 999, 5000])
+    def test_take_chunks_lands_on_the_count(self, count):
+        refs = [(READ, i) for i in range(1000)]
+        taken = flatten(take_chunks(chunk_accesses(iter(refs), 256),
+                                    count))
+        assert taken == refs[:count]
+
+    def test_take_chunks_stops_pulling_at_the_count(self):
+        pulled = []
+
+        def source():
+            for start in range(0, 1000, 100):
+                pulled.append(start)
+                yield array("q", [READ, start] * 100)
+
+        list(take_chunks(source(), 250))
+        assert pulled == [0, 100, 200]
+
+
 class TestWorkloadInstanceProtocol:
-    def make_instance(self, **kwargs):
+    def make_instance(self):
         refs = [(i % 3, i * 64) for i in range(300)]
         return refs, WorkloadInstance(
-            "T", None, lambda: iter(refs), len(refs), **kwargs
+            "T", None, lambda n: chunk_accesses(iter(refs), n),
+            len(refs),
         )
 
-    def test_fallback_adapter_matches_accesses(self):
+    def test_chunk_factory_gets_the_chunk_size(self):
         refs, instance = self.make_instance()
-        assert flatten(instance.access_chunks(128)) == refs
+        chunks = list(instance.access_chunks(128))
+        assert flatten(chunks) == refs
+        assert chunk_ref_counts(chunks) == [128, 128, 44]
 
-    def test_one_shot_across_protocols(self):
-        _, instance = self.make_instance()
-        instance.accesses()
-        with pytest.raises(RuntimeError):
-            instance.access_chunks()
-
-    def test_one_shot_other_direction(self):
+    def test_one_shot(self):
         _, instance = self.make_instance()
         instance.access_chunks()
         with pytest.raises(RuntimeError):
-            instance.accesses()
-
-    def test_native_chunk_factory_preferred(self):
-        marker = [array("q", [READ, 0x40])]
-        _, instance = self.make_instance(
-            chunk_factory=lambda chunk_refs: iter(marker)
-        )
-        assert list(instance.access_chunks(32)) == marker
+            instance.access_chunks()
 
 
 def phased_process(seed=0, duration=4000):
@@ -131,36 +139,36 @@ def phased_process(seed=0, duration=4000):
 
 
 class TestNativeChunkStreams:
-    def test_phased_process_chunks_match_accesses(self):
-        legacy = list(phased_process(seed=3).accesses())
+    def test_phased_process_chunks_are_exact(self):
         chunks = list(phased_process(seed=3).access_chunks(512))
-        assert flatten(chunks) == legacy
         counts = chunk_ref_counts(chunks)
         assert all(count == 512 for count in counts[:-1])
         assert 0 < counts[-1] <= 512
 
-    @pytest.mark.parametrize("chunk_refs", [1, 7, 512, 100_000])
+    @pytest.mark.parametrize("chunk_refs", [1, 7, 512])
     def test_phased_process_any_chunk_size(self, chunk_refs):
-        legacy = list(phased_process(seed=5).accesses())
+        whole = flatten(phased_process(seed=5).access_chunks(100_000))
         chunks = list(
             phased_process(seed=5).access_chunks(chunk_refs)
         )
-        assert flatten(chunks) == legacy
+        assert flatten(chunks) == whole
 
     def test_serial_chain_rechunks_across_jobs(self):
-        legacy = list(serial(
-            [phased_process(seed=1), phased_process(seed=2)]
-        ).accesses())
-        chain = serial(
-            [phased_process(seed=1), phased_process(seed=2)]
+        def build():
+            return serial(
+                [phased_process(seed=1), phased_process(seed=2)]
+            )
+
+        chunks = list(build().access_chunks(768))
+        assert flatten(chunks) == (
+            flatten(phased_process(seed=1).access_chunks(100_000))
+            + flatten(phased_process(seed=2).access_chunks(100_000))
         )
-        chunks = list(chain.access_chunks(768))
-        assert flatten(chunks) == legacy
         counts = chunk_ref_counts(chunks)
         # Exact chunking even across the job boundary.
         assert all(count == 768 for count in counts[:-1])
 
-    def test_scheduler_chunks_match_accesses(self):
+    def test_scheduler_chunk_size_does_not_change_the_stream(self):
         def build():
             return RoundRobinScheduler(
                 [(phased_process(seed=1), 1.0),
@@ -168,26 +176,10 @@ class TestNativeChunkStreams:
                 quantum=640,
             )
 
-        legacy = list(build().accesses())
         chunks = list(build().access_chunks(500))
-        assert flatten(chunks) == legacy
+        assert flatten(chunks) == flatten(build().access_chunks(77))
         counts = chunk_ref_counts(chunks)
         assert all(count == 500 for count in counts[:-1])
-
-    def test_scheduler_exact_slice_boundary_process(self):
-        # A process whose length is an exact multiple of its slice
-        # size retires cleanly (full last chunk, then empty round).
-        refs_a = [(READ, i * 32) for i in range(200)]
-        refs_b = [(WRITE, i * 32) for i in range(70)]
-
-        def build():
-            return RoundRobinScheduler(
-                [iter(list(refs_a)), iter(list(refs_b))], quantum=50
-            )
-
-        legacy = list(build().accesses())
-        chunks = list(build().access_chunks(64))
-        assert flatten(chunks) == legacy
 
     @pytest.mark.parametrize("factory", [
         lambda: Workload1(length_scale=0.01),
@@ -195,53 +187,26 @@ class TestNativeChunkStreams:
         lambda: DevSystemWorkload(DEV_SYSTEM_PROFILES[0],
                                   length_scale=0.01),
     ], ids=["workload1", "slc", "devsystem"])
-    def test_top_level_workloads_match(self, factory):
+    def test_top_level_workloads_any_chunk_size(self, factory):
         page_bytes = scaled_config(scale=8).page_bytes
         cap = 20_000
-        legacy = list(itertools.islice(
-            factory().instantiate(page_bytes, seed=2).accesses(), cap
-        ))
-        chunked = []
-        for chunk in factory().instantiate(
-            page_bytes, seed=2
-        ).access_chunks(1024):
-            chunked.extend(flatten([chunk]))
-            if len(chunked) >= cap:
-                break
-        assert chunked[:cap] == legacy
 
-    def test_scripted_workload_matches(self):
-        spec = {
-            "name": "tiny-script",
-            "quantum": 256,
-            "processes": [
-                {"name": "p0", "code_pages": 4, "heap_pages": 32,
-                 "file_pages": 8,
-                 "phases": [{"duration": 2500, "ws_pages": 12,
-                             "write_frac": 0.4, "alloc_pages": 4}]},
-                {"name": "p1", "weight": 0.5, "code_pages": 2,
-                 "heap_pages": 16,
-                 "phases": [{"duration": 1500, "ws_pages": 8,
-                             "write_frac": 0.2}]},
-            ],
-        }
-        page_bytes = scaled_config(scale=8).page_bytes
-        legacy = list(ScriptedWorkload(spec).instantiate(
-            page_bytes, seed=4
-        ).accesses())
-        chunks = list(ScriptedWorkload(spec).instantiate(
-            page_bytes, seed=4
-        ).access_chunks(333))
-        assert flatten(chunks) == legacy
+        def head(chunk_refs):
+            instance = factory().instantiate(page_bytes, seed=2)
+            return flatten(take_chunks(
+                instance.access_chunks(chunk_refs), cap
+            ))
+
+        assert head(1024) == head(DEFAULT_CHUNK_REFS)
 
 
 class TestTraceFileChunks:
-    def test_matches_read_trace(self, tmp_path):
+    def test_reads_back_what_was_written(self, tmp_path):
         path = tmp_path / "trace.bin"
         refs = [(i % 3, i * 32) for i in range(5000)]
         write_trace(path, refs)
         chunks = list(read_trace_chunks(path, 512))
-        assert flatten(chunks) == list(read_trace(path)) == refs
+        assert flatten(chunks) == refs
         counts = chunk_ref_counts(chunks)
         assert counts == [512] * 9 + [392]
 

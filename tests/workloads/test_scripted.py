@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
-from repro.workloads.base import IFETCH, WRITE
+from repro.workloads.base import IFETCH, WRITE, iter_refs
 from repro.workloads.scripted import ScriptedWorkload
 
 PAGE = 512
@@ -35,6 +35,10 @@ SPEC = {
         },
     ],
 }
+
+
+def stream_length(instance):
+    return sum(len(chunk) >> 1 for chunk in instance.access_chunks())
 
 
 class TestValidation:
@@ -90,7 +94,7 @@ class TestStream:
     def test_generates_and_respects_regions(self):
         instance = ScriptedWorkload(SPEC).instantiate(PAGE, seed=1)
         count = 0
-        for kind, vaddr in instance.accesses():
+        for kind, vaddr in iter_refs(instance.access_chunks()):
             region = instance.space_map.region_of(vaddr)
             assert region is not None
             if kind == WRITE:
@@ -106,24 +110,20 @@ class TestStream:
         workload = ScriptedWorkload(path)
         assert workload.name == "editor-vs-compiler"
         instance = workload.instantiate(PAGE)
-        assert sum(1 for _ in instance.accesses()) > 10_000
+        assert stream_length(instance) > 10_000
 
     def test_length_scale(self):
         short = ScriptedWorkload(SPEC, length_scale=0.1)
         long = ScriptedWorkload(SPEC, length_scale=0.2)
-        short_count = sum(
-            1 for _ in short.instantiate(PAGE).accesses()
-        )
-        long_count = sum(
-            1 for _ in long.instantiate(PAGE).accesses()
-        )
+        short_count = stream_length(short.instantiate(PAGE))
+        long_count = stream_length(long.instantiate(PAGE))
         assert short_count < long_count
 
     def test_deterministic_per_seed(self):
         a = list(ScriptedWorkload(SPEC, 0.05).instantiate(
-            PAGE, seed=4).accesses())
+            PAGE, seed=4).access_chunks())
         b = list(ScriptedWorkload(SPEC, 0.05).instantiate(
-            PAGE, seed=4).accesses())
+            PAGE, seed=4).access_chunks())
         assert a == b
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace
-from repro.workloads.base import IFETCH, READ, WRITE
+from repro.workloads.base import IFETCH, READ, WRITE, iter_refs
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
 
 PAGE = 512
@@ -20,7 +20,7 @@ def make_image(code=4, heap=32, file_pages=4, data=0):
 
 
 def collect(process, limit=None):
-    refs = list(process.accesses())
+    refs = list(iter_refs(process.access_chunks()))
     return refs[:limit] if limit else refs
 
 

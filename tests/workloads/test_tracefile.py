@@ -3,8 +3,13 @@
 import pytest
 
 from repro.common.errors import TraceFormatError
-from repro.workloads.base import IFETCH, READ, WRITE
-from repro.workloads.tracefile import read_trace, write_trace
+from repro.workloads.base import IFETCH, READ, WRITE, iter_refs
+from repro.workloads.tracefile import read_trace_chunks, write_trace
+
+
+def read_trace(path):
+    """The ``(kind, vaddr)`` records of a trace file, in order."""
+    return iter_refs(read_trace_chunks(path))
 
 
 def test_round_trip(tmp_path):
@@ -27,11 +32,18 @@ def test_large_trace_spans_chunks(tmp_path):
     assert list(read_trace(path)) == refs
 
 
-def test_64_bit_addresses(tmp_path):
+def test_63_bit_addresses(tmp_path):
     path = tmp_path / "wide.bin"
-    refs = [(READ, (1 << 63) + 5)]
+    refs = [(READ, (1 << 63) - 1), (WRITE, 1 << 40)]
     write_trace(path, refs)
     assert list(read_trace(path)) == refs
+
+
+def test_address_beyond_a_chunk_is_rejected(tmp_path):
+    # Chunks are signed 64-bit arrays: a wider address could be
+    # written but never read back, so the writer refuses it.
+    with pytest.raises(ValueError):
+        write_trace(tmp_path / "wide.bin", [(READ, (1 << 63) + 5)])
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.workloads.base import IFETCH, READ, WRITE
+from repro.workloads.base import (
+    IFETCH,
+    READ,
+    WRITE,
+    iter_refs,
+    take_chunks,
+)
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
@@ -16,12 +22,12 @@ SCALE = 0.01
 
 def sample(workload, count=40_000, seed=0):
     instance = workload.instantiate(PAGE, seed=seed)
-    refs = []
-    for ref in instance.accesses():
-        refs.append(ref)
-        if len(refs) >= count:
-            break
+    refs = list(iter_refs(take_chunks(instance.access_chunks(), count)))
     return instance, refs
+
+
+def stream_length(instance):
+    return sum(len(chunk) >> 1 for chunk in instance.access_chunks())
 
 
 class TestCommonProperties:
@@ -60,9 +66,9 @@ class TestCommonProperties:
 
     def test_instance_consumed_once(self):
         instance = Workload1(length_scale=SCALE).instantiate(PAGE)
-        instance.accesses()
+        instance.access_chunks()
         with pytest.raises(RuntimeError):
-            instance.accesses()
+            instance.access_chunks()
 
 
 class TestWorkload1:
@@ -76,10 +82,8 @@ class TestWorkload1:
     def test_length_scale_shortens(self):
         short = Workload1(length_scale=0.01)
         long = Workload1(length_scale=0.02)
-        short_len = len(list(
-            short.instantiate(PAGE).accesses()
-        ))
-        long_len = len(list(long.instantiate(PAGE).accesses()))
+        short_len = stream_length(short.instantiate(PAGE))
+        long_len = stream_length(long.instantiate(PAGE))
         assert short_len < long_len
 
     def test_rejects_bad_scale(self):
@@ -104,7 +108,7 @@ class TestSlc:
 
     def test_benchmark_count_configurable(self):
         small = SlcWorkload(length_scale=SCALE, benchmarks=2)
-        assert len(list(small.instantiate(PAGE).accesses()))
+        assert stream_length(small.instantiate(PAGE))
         with pytest.raises(ValueError):
             SlcWorkload(benchmarks=0)
 
